@@ -4,8 +4,9 @@
 // N client threads share one server over one database holding BOTH
 // corpora (Treebank trees and DBLP articles — two tenants, two query
 // shapes). Each client runs a seeded random query mix — shape, target
-// cuboid (or the full cube), algorithm (safe and unsafe variants),
-// iceberg threshold — paced to a target aggregate QPS, waiting for each
+// cuboid (or the full cube), requested algorithm (which the server
+// ignores; the draw keeps the seeded mix stable), iceberg threshold —
+// paced to a target aggregate QPS, waiting for each
 // answer before issuing the next (closed loop). When the run drains,
 // the driver reports p50/p95/p99 latency interpolated from the metric
 // registry's x3_server_query_latency_seconds histogram and cache hit
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
   }
 
   // Tenant 1: Treebank with both summarizability properties failing
-  // (forces fact-id roll-ups and algorithm downgrades).
+  // (forces fact-id roll-ups).
   x3::ExperimentSetting setting;
   setting.num_axes = 3;
   setting.num_trees = flags.trees;

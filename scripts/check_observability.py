@@ -71,9 +71,6 @@ QUERY_LOG_SCHEMA = {
     "rollup_answers": int,
     "computed": bool,
     "cache_bypassed": bool,
-    "algorithm_requested": str,
-    "algorithm_used": str,
-    "downgraded": bool,
     "budget_peak_bytes": int,
     "spill_bytes": int,
     "stages": list,

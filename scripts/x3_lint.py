@@ -62,13 +62,13 @@ Rules (see docs/STATIC_ANALYSIS.md for the rationale):
                      (Database::Checkpoint, the OpenExisting tail-page
                      repair) carry an explicit allow comment naming why
                      they are exempt.
-  server-compute-cube  No direct ComputeCube(...) calls in src/server/:
-                     the serving layer answers from the materialized-
-                     cuboid cache (CubeViewStore::AnswerFromViews) and
-                     falls back to compute only on the single designated
-                     cache-miss path in X3Server::RunQuery, which fills
-                     the cache afterwards. Any other call site would
-                     silently bypass admission accounting and caching.
+  server-compute-cube  No ComputeCube(...) calls in src/server/: the
+                     serving layer answers every cuboid by roll-up from a
+                     materialized view (CubeViewStore), a cache miss
+                     included — it builds the target's donor view once
+                     and rolls up from it. A ComputeCube call would run
+                     the whole lattice beside the cache, bypassing its
+                     views and their accounting. No site is exempt.
   server-raw-log     No ad-hoc logging (printf/puts/perror, std::cout/
                      cerr/clog) in src/server/ outside query_log.*: a
                      serving-layer event either belongs in the
@@ -284,9 +284,9 @@ class Linter:
                             raw)
             if rel.startswith("src/server/") and SERVER_COMPUTE_CUBE.search(code):
                 self.report(path, lineno, "server-compute-cube",
-                            "direct ComputeCube in src/server/; serve from "
-                            "the cuboid cache and leave compute to the "
-                            "annotated cache-miss path in X3Server::RunQuery",
+                            "direct ComputeCube in src/server/; answer by "
+                            "roll-up from a view (a miss builds the donor "
+                            "view, X3Server::AnswerMiss)",
                             raw)
             if (rel.startswith("src/server/")
                     and not rel.startswith("src/server/query_log.")

@@ -62,11 +62,6 @@ std::string QueryLogRecordToJson(const QueryLogRecord& r) {
   out += StringPrintf(",\"computed\":%s", r.computed ? "true" : "false");
   out += StringPrintf(",\"cache_bypassed\":%s",
                       r.cache_bypassed ? "true" : "false");
-  out += ",\"algorithm_requested\":";
-  out += JsonQuote(CubeAlgorithmToString(r.algorithm_requested));
-  out += ",\"algorithm_used\":";
-  out += JsonQuote(CubeAlgorithmToString(r.algorithm_used));
-  out += StringPrintf(",\"downgraded\":%s", r.downgraded ? "true" : "false");
   out += StringPrintf(",\"budget_peak_bytes\":%llu",
                       static_cast<unsigned long long>(r.budget_peak_bytes));
   out += StringPrintf(",\"spill_bytes\":%llu",

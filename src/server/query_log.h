@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "cube/algorithm.h"
+#include "util/env.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -47,12 +47,6 @@ struct QueryLogRecord {
   bool computed = false;
   bool cache_bypassed = false;  // request opted out (use_cache = false)
 
-  // Plan variant: what was asked for, what actually ran on the miss
-  // path, and whether the safety downgrade rewrote it.
-  CubeAlgorithm algorithm_requested = CubeAlgorithm::kTDCust;
-  CubeAlgorithm algorithm_used = CubeAlgorithm::kTDCust;
-  bool downgraded = false;
-
   /// Admission-budget peak while this query completed (shared budget:
   /// the server-wide high-water mark, not a per-query attribution).
   uint64_t budget_peak_bytes = 0;
@@ -68,10 +62,11 @@ struct QueryLogRecord {
 
   /// Latency exceeded X3ServerOptions::slow_query_threshold_seconds.
   bool slow = false;
-  /// Slow-lane payload: the full ExplainCubePlanWithActuals rendering,
-  /// captured only when the query was slow AND computed a cube (the
-  /// plan actuals are what explains a slow compute; a slow cache hit
-  /// has its stages breakdown instead).
+  /// Slow-lane payload: what the miss did — each donor cuboid, whether
+  /// it carries fact ids, its build (or pin) time, and each target's
+  /// roll-up strategy with the view cells and facts it scanned.
+  /// Captured only when the query was slow AND missed the cache (a slow
+  /// cache hit has its stages breakdown instead).
   std::string slow_explain;
 };
 

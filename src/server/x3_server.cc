@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <utility>
 
-#include "cube/plan.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/query_id.h"
@@ -31,23 +31,6 @@ class ScopedRelease {
   size_t bytes_;
 };
 
-/// The always-correct variant of an algorithm whose global assumption
-/// the property map cannot prove. The server must never serve a wrong
-/// answer (cached views would disagree with computed ones), so OPT
-/// variants are downgraded to their CUST counterparts when their plan
-/// contains unsafe steps.
-CubeAlgorithm SafeCounterpart(CubeAlgorithm algorithm) {
-  switch (algorithm) {
-    case CubeAlgorithm::kBUCOpt:
-      return CubeAlgorithm::kBUCCust;
-    case CubeAlgorithm::kTDOpt:
-    case CubeAlgorithm::kTDOptAll:
-      return CubeAlgorithm::kTDCust;
-    default:
-      return algorithm;
-  }
-}
-
 Counter* AdmissionDeniedCounter() {
   static Counter* counter = MetricRegistry::Global().GetCounter(
       "x3_server_admission_denied_total",
@@ -55,11 +38,18 @@ Counter* AdmissionDeniedCounter() {
   return counter;
 }
 
-Counter* PlanDowngradeCounter() {
+Counter* ViewBuildsCounter() {
   static Counter* counter = MetricRegistry::Global().GetCounter(
-      "x3_server_plan_downgrades_total",
-      "Queries whose OPT algorithm was downgraded to its CUST "
-      "counterpart because the plan had unproven-safe steps");
+      "x3_server_view_builds_total",
+      "Cuboid views the server built from a shape's base fact table");
+  return counter;
+}
+
+Counter* CacheMissesCounter() {
+  static Counter* counter = MetricRegistry::Global().GetCounter(
+      "x3_server_cache_misses_total",
+      "Queries answered by roll-up from donor views built or pinned for "
+      "them");
   return counter;
 }
 
@@ -122,6 +112,16 @@ Counter* SlowQueriesCounter() {
 
 }  // namespace
 
+CuboidId DonorCuboid(const CubeLattice& lattice, CuboidId target) {
+  std::vector<AxisStateId> states = lattice.Decode(target);
+  for (size_t axis = 0; axis < lattice.num_axes(); ++axis) {
+    if (!lattice.axis(axis).state(states[axis]).grouping_present()) {
+      states[axis] = lattice.axis(axis).rigid_state();
+    }
+  }
+  return lattice.Encode(states);
+}
+
 std::string NormalizedQueryKey(const CubeQuery& query) {
   std::string key = "fact=" + query.fact_path;
   for (const AxisSpec& axis : query.axes) {
@@ -168,7 +168,6 @@ X3Server::X3Server(Database* db, X3ServerOptions options)
       options_(std::move(options)),
       engine_(db),
       budget_(options_.admission_budget_bytes),
-      temp_files_(options_.temp_dir, options_.env),
       cache_(options_.cache_capacity_bytes),
       query_log_(options_.query_log_capacity),
       pool_(std::make_unique<ThreadPool>(
@@ -225,9 +224,7 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
   static Counter* rollup_answers = registry.GetCounter(
       "x3_server_rollup_answers_total",
       "Cuboids answered by safe roll-up from a cached finer view");
-  static Counter* cache_misses = registry.GetCounter(
-      "x3_server_cache_misses_total",
-      "Queries that fell back to ComputeCube");
+  static Counter* cache_misses = CacheMissesCounter();
   static Counter* cache_served = registry.GetCounter(
       "x3_server_cache_served_total",
       "Queries answered entirely from cached views");
@@ -266,8 +263,6 @@ void X3Server::RunTask(const std::shared_ptr<Ticket>& ticket,
   record.tenant = request.tenant;
   record.queue_seconds = ticket->queued_.ElapsedSeconds();
   record.cache_bypassed = !request.use_cache;
-  record.algorithm_requested = request.algorithm;
-  record.algorithm_used = request.algorithm;
 
   Timer timer;
   Result<ServerAnswer> result = [&]() -> Result<ServerAnswer> {
@@ -390,23 +385,29 @@ Result<std::shared_ptr<X3Server::ShapeState>> X3Server::GetOrBuildShape(
       auto it = shapes_.find(key);
       if (it != shapes_.end() && it->second == shape) shapes_.erase(it);
     }
-    {
-      MutexLock lock(&shape->mu);
-      shape->build_status = status;
-      shape->ready = true;
-    }
-    shape->ready_cv.NotifyAll();
+    shape->built.Publish(status);
     ShapesGauge()->Set(static_cast<int64_t>(num_shapes()));
     X3_RETURN_IF_ERROR(status);
     return shape;
   }
 
-  {
-    MutexLock lock(&shape->mu);
-    while (!shape->ready) shape->ready_cv.Wait(&shape->mu);
-    X3_RETURN_IF_ERROR(shape->build_status);
-  }
+  X3_RETURN_IF_ERROR(shape->built.Wait());
   return shape;
+}
+
+void X3Server::BuildLatch::Publish(Status status) {
+  {
+    MutexLock lock(&mu_);
+    status_ = std::move(status);
+    ready_ = true;
+  }
+  ready_cv_.NotifyAll();
+}
+
+Status X3Server::BuildLatch::Wait() const {
+  MutexLock lock(&mu_);
+  while (!ready_) ready_cv_.Wait(&mu_);
+  return status_;
 }
 
 std::shared_ptr<const X3Server::ShapeSnapshot> X3Server::PinSnapshot(
@@ -415,23 +416,164 @@ std::shared_ptr<const X3Server::ShapeSnapshot> X3Server::PinSnapshot(
   return shape->snapshot;
 }
 
-void X3Server::EnsureMaterialized(
+Result<CubeViewStore::ViewPtr> X3Server::AcquireView(
     ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
-    CuboidId cuboid) {
-  if (snapshot->views->Contains(cuboid)) return;
+    CuboidId cuboid, bool use_cache, ExecutionContext* ctx) {
   // Fact ids repair disjointness for later roll-ups; when the property
   // map proves disjointness everywhere the id-less views suffice and
   // cost far less memory (§3.6's trade-off).
-  bool with_ids = !shape->disjoint_everywhere;
-  if (!snapshot->views->Materialize(cuboid, with_ids).ok()) return;
-  size_t bytes = snapshot->views->ViewApproxBytes(cuboid);
-  // Register with the cache only while this snapshot is still current:
-  // the swap in MaintainShape and this insert are both under shape->mu,
-  // so a retired snapshot's store never (re)enters the cache after its
-  // entries were dropped.
-  MutexLock lock(&shape->mu);
-  if (shape->snapshot != snapshot) return;
-  cache_.Insert(snapshot->views.get(), cuboid, bytes);
+  const bool with_ids = !shape->disjoint_everywhere;
+  CubeViewStore* store = snapshot->views.get();
+  if (!use_cache) {
+    ViewBuildsCounter()->Increment();
+    return store->BuildView(cuboid, with_ids, ctx);
+  }
+  const std::pair<const CubeViewStore*, CuboidId> key{store, cuboid};
+  for (;;) {
+    std::shared_ptr<ViewBuild> build;
+    bool builder = false;
+    {
+      // The published-view check and the in-flight lookup share one
+      // critical section with the builder's publish-and-erase below, so
+      // a request either pins the published view or joins the build.
+      MutexLock lock(&shape->mu);
+      if (CubeViewStore::ViewPtr view = store->Pin(cuboid)) return view;
+      auto [it, inserted] = shape->view_builds.try_emplace(key);
+      if (inserted) it->second = std::make_shared<ViewBuild>();
+      build = it->second;
+      builder = inserted;
+    }
+    if (!builder) {
+      // A failed build (its builder was cancelled or ran out of time)
+      // is retried by the waiters whose own query is still live.
+      if (build->built.Wait().ok()) return build->view;
+      X3_RETURN_IF_ERROR(ctx->CheckInterrupted());
+      continue;
+    }
+
+    ViewBuildsCounter()->Increment();
+    Result<CubeViewStore::ViewPtr> view =
+        store->BuildView(cuboid, with_ids, ctx);
+    size_t bytes = 0;
+    if (view.ok()) {
+      build->view = *view;
+      bytes = CubeViewStore::ViewBytes(**view);
+    }
+    {
+      MutexLock lock(&shape->mu);
+      if (view.ok()) {
+        store->Publish(*view);
+        // Register with the cache only while this snapshot is still
+        // current: the swap in MaintainShape and this insert are both
+        // under shape->mu, so a retired snapshot's store never
+        // (re)enters the cache after its entries were dropped.
+        if (shape->snapshot == snapshot) cache_.Insert(store, cuboid, bytes);
+      }
+      shape->view_builds.erase(key);
+    }
+    build->built.Publish(view.status());
+    return view;
+  }
+}
+
+namespace {
+
+/// A miss's donor view and how long pinning or building it took.
+struct Donor {
+  CubeViewStore::ViewPtr view;
+  double ms = 0;
+};
+
+/// Slow-lane rendering of a miss: each donor's cuboid, ids and build
+/// time, then each target's roll-up strategy and work.
+std::string RenderMiss(
+    const CubeLattice& lattice, const std::map<CuboidId, Donor>& donors,
+    const std::vector<std::pair<CuboidId, ViewComputeStats>>& rollups) {
+  std::string out = StringPrintf("miss: %zu donor(s), %zu target(s)\n",
+                                 donors.size(), rollups.size());
+  for (const auto& [id, donor] : donors) {
+    const CubeViewStore::View& view = *donor.view;
+    out += StringPrintf(
+        "  donor cuboid %llu %s: %s fact ids, %zu cells, %.3f ms\n",
+        static_cast<unsigned long long>(view.cuboid),
+        lattice.DescribeCuboid(view.cuboid).c_str(),
+        view.with_fact_ids ? "with" : "without", view.cells.size(),
+        donor.ms);
+  }
+  for (const auto& [target, stats] : rollups) {
+    out += StringPrintf(
+        "  target cuboid %llu: %s from cuboid %llu, %llu view cells, "
+        "%llu facts scanned\n",
+        static_cast<unsigned long long>(target),
+        ViewStrategyToString(stats.strategy),
+        static_cast<unsigned long long>(stats.source_view),
+        static_cast<unsigned long long>(stats.view_cells_scanned),
+        static_cast<unsigned long long>(stats.facts_scanned));
+  }
+  return out;
+}
+
+}  // namespace
+
+Status X3Server::AnswerMiss(
+    ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
+    const ServerRequest& request, const std::vector<CuboidId>& targets,
+    ExecutionContext* ctx, InflightEntry* inflight, QueryLogRecord* record,
+    std::vector<std::pair<CuboidId, CellMap>>* cells) {
+  const CubeLattice& lattice = snapshot->prepared->lattice;
+  // Each distinct donor is pinned or built once, however many targets
+  // roll up from it.
+  inflight->stage.store("materialize", std::memory_order_relaxed);
+  std::map<CuboidId, Donor> donors;
+  {
+    ScopedStageTimer stage(ctx->stats(), "materialize", ctx->tracer());
+    for (CuboidId target : targets) {
+      CuboidId donor = DonorCuboid(lattice, target);
+      if (donors.count(donor) > 0) continue;
+      Timer timer;
+      X3_ASSIGN_OR_RETURN(
+          CubeViewStore::ViewPtr view,
+          AcquireView(shape, snapshot, donor, request.use_cache, ctx));
+      donors[donor] = Donor{std::move(view), timer.ElapsedSeconds() * 1e3};
+    }
+  }
+
+  inflight->stage.store("compute", std::memory_order_relaxed);
+  std::vector<std::pair<CuboidId, ViewComputeStats>> rollups;
+  rollups.reserve(targets.size());
+  {
+    ScopedStageTimer stage(ctx->stats(), "compute", ctx->tracer());
+    for (CuboidId target : targets) {
+      X3_RETURN_IF_ERROR(ctx->Poll());
+      const Donor& donor = donors.at(DonorCuboid(lattice, target));
+      ViewComputeStats stats;
+      X3_ASSIGN_OR_RETURN(CellMap target_cells,
+                          snapshot->views->RollUp(*donor.view, target,
+                                                  &shape->properties, &stats));
+      cells->emplace_back(target, std::move(target_cells));
+      rollups.emplace_back(target, stats);
+      stage.AddRows(stats.view_cells_scanned);
+    }
+  }
+
+  if (request.use_cache && request.target.has_value() &&
+      *request.target != DonorCuboid(lattice, *request.target)) {
+    // The requested cuboid's own view, for exact-hit repeats.
+    inflight->stage.store("cache-fill", std::memory_order_relaxed);
+    ScopedStageTimer stage(ctx->stats(), "cache-fill", ctx->tracer());
+    X3_RETURN_IF_ERROR(AcquireView(shape, snapshot, *request.target,
+                                   /*use_cache=*/true, ctx)
+                           .status());
+  }
+
+  if (options_.slow_query_threshold_seconds > 0 &&
+      inflight->started.ElapsedSeconds() >=
+          options_.slow_query_threshold_seconds) {
+    // Slow lane: this query is already past the threshold, so RunTask
+    // will mark its record slow — attach what the miss did.
+    record->slow_explain = RenderMiss(lattice, donors, rollups);
+  }
+  return Status::OK();
 }
 
 Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
@@ -452,7 +594,6 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
                                 : options_.default_deadline_seconds;
   ExecutionContext::Options ctx_options;
   ctx_options.budget = &budget_;
-  ctx_options.temp_files = &temp_files_;
   ctx_options.cancel = &ticket->token_;
   ctx_options.query_id = ticket->query_id();
   if (deadline_seconds > 0) {
@@ -572,61 +713,12 @@ Result<ServerAnswer> X3Server::RunQuery(const ServerRequest& request,
   if (!all_from_cache) {
     answer.exact_hits = 0;
     answer.rollup_answers = 0;
-    inflight->stage.store("compute", std::memory_order_relaxed);
-    CubeAlgorithm algorithm = request.algorithm;
-    CubePlan plan = BuildCubePlan(algorithm, lattice, shape->properties);
-    if (plan.unsafe_steps > 0) {
-      algorithm = SafeCounterpart(algorithm);
-      PlanDowngradeCounter()->Increment();
-      record->downgraded = true;
-    }
-    record->algorithm_used = algorithm;
-    CubeComputeOptions compute;
-    compute.aggregate = query.aggregate;
-    compute.properties = &shape->properties;
-    compute.exec = &ctx;
-    compute.parallelism = request.parallelism != 0
-                              ? request.parallelism
-                              : options_.default_parallelism;
-    // min_count stays 0: the cache holds unfiltered cells so requests
-    // with different iceberg thresholds share the same views; the
-    // filter is applied per request below.
-    CubeComputeStats stats;
-    X3_ASSIGN_OR_RETURN(
-        CubeResult cube,
-        ComputeCube(algorithm, facts, lattice, compute,  // x3-lint: allow(server-compute-cube) -- the designated cache-miss path
-                    &stats));
-    if (options_.slow_query_threshold_seconds > 0 &&
-        inflight->started.ElapsedSeconds() >=
-            options_.slow_query_threshold_seconds) {
-      // Slow lane: this query is already past the threshold, so RunTask
-      // will mark its record slow — attach the full plan-with-actuals
-      // rendering while the cube is still alive. The plan is rebuilt
-      // for the algorithm that actually ran (post-downgrade).
-      CubePlan ran = algorithm == request.algorithm
-                         ? std::move(plan)
-                         : BuildCubePlan(algorithm, lattice,
-                                         shape->properties);
-      record->slow_explain =
-          ExplainCubePlanWithActuals(ran, lattice, *ctx.stats(), cube);
-    }
-    for (CuboidId target : targets) {
-      cells.emplace_back(target, std::move(*cube.mutable_cuboid(target)));
-    }
+    // min_count is not applied here: views and roll-ups hold unfiltered
+    // cells so requests with different iceberg thresholds share them;
+    // the filter is applied per request below.
+    X3_RETURN_IF_ERROR(AnswerMiss(shape.get(), snapshot, request, targets,
+                                  &ctx, inflight, record, &cells));
     answer.computed = true;
-    answer.algorithm_used = algorithm;
-    if (request.use_cache) {
-      inflight->stage.store("cache-fill", std::memory_order_relaxed);
-      // Cache fill: the finest cuboid is the universal donor —
-      // TDOPTALL's roll-up property means every coarser cuboid rolls
-      // up from it (with fact ids when disjointness is unproven) —
-      // plus the requested cuboid itself for exact-hit repeats.
-      EnsureMaterialized(shape.get(), snapshot, lattice.FinestCuboid());
-      if (request.target.has_value() &&
-          *request.target != lattice.FinestCuboid()) {
-        EnsureMaterialized(shape.get(), snapshot, *request.target);
-      }
-    }
   }
 
   inflight->stage.store("finalize", std::memory_order_relaxed);
@@ -745,12 +837,7 @@ Result<ServerWriteResult> X3Server::CommitDocuments(
     for (const auto& [key, shape] : shapes_) shapes.emplace_back(key, shape);
   }
   for (const auto& [key, shape] : shapes) {
-    bool usable = [&shape = shape] {
-      MutexLock lock(&shape->mu);
-      while (!shape->ready) shape->ready_cv.Wait(&shape->mu);
-      return shape->build_status.ok();
-    }();
-    if (!usable) continue;
+    if (!shape->built.Wait().ok()) continue;
     Result<bool> updated = MaintainShape(shape.get(), first_new_node,
                                          result.commit_lsn, &result.delta);
     if (updated.ok()) {
@@ -900,10 +987,7 @@ StatuszReport X3Server::Statusz() const {
                       "Cuboids answered by safe roll-up from a cached finer "
                       "view")
           ->value();
-  r.cache_misses = registry
-                       .GetCounter("x3_server_cache_misses_total",
-                                   "Queries that fell back to ComputeCube")
-                       ->value();
+  r.cache_misses = CacheMissesCounter()->value();
   uint64_t served =
       registry
           .GetCounter("x3_server_cache_served_total",

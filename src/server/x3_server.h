@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,7 +19,6 @@
 #include "schema/summarizability.h"
 #include "server/cuboid_cache.h"
 #include "server/query_log.h"
-#include "storage/temp_file.h"
 #include "util/exec.h"
 #include "util/memory_budget.h"
 #include "util/result.h"
@@ -37,29 +37,24 @@ struct X3ServerOptions {
   /// query reserves its shape's fact-table footprint for the duration
   /// of its execution and is refused with kResourceExhausted when the
   /// reservation does not fit (the budget must therefore fit at least
-  /// one shape). 0 = unlimited. Compute-time working memory (counter
-  /// tables, sort buffers) is charged to the same budget, so budgeted
-  /// algorithms spill instead of overshooting.
+  /// one shape). 0 = unlimited.
   size_t admission_budget_bytes = 0;
   /// Capacity of the materialized-cuboid LRU cache. 0 = unlimited.
   size_t cache_capacity_bytes = 64ull << 20;
   /// Default per-query deadline in seconds; 0 = none. A request's
   /// explicit deadline overrides this.
   double default_deadline_seconds = 0;
-  /// Default per-query compute parallelism (CubeComputeOptions
-  /// semantics: 1 = calling thread, 0 = hardware concurrency).
-  size_t default_parallelism = 1;
-  /// Environment spill files go through; nullptr = Env::Default().
-  Env* env = nullptr;
-  /// Base directory for spill files; empty = $TMPDIR.
+  /// Ignored by X3Server, which answers every miss by roll-up in memory
+  /// and writes no spill files. Kept so existing callers still compile.
   std::string temp_dir;
 
   // --- Query-lifecycle observability (DESIGN.md §13) ---
 
   /// Queries whose end-to-end latency meets or exceeds this are marked
-  /// `slow` in the query log, and (when they computed a cube) get the
-  /// full ExplainCubePlanWithActuals rendering attached to their
-  /// record. 0 = slow lane disabled.
+  /// `slow` in the query log, and (when they missed the cache) get a
+  /// rendering of the miss attached to their record: donor cuboids and
+  /// their build times, and each target's roll-up. 0 = slow lane
+  /// disabled.
   double slow_query_threshold_seconds = 0;
   /// Ring capacity of the per-query lifecycle log.
   size_t query_log_capacity = QueryLog::kDefaultCapacity;
@@ -83,23 +78,26 @@ struct ServerRequest {
   /// The cuboid (relaxation point) wanted; nullopt = the full cube
   /// (every cuboid of the lattice). Validated against the lattice.
   std::optional<CuboidId> target;
+  /// Ignored by X3Server: every miss is answered by roll-up from a
+  /// donor view, whatever algorithm is named here. Kept so existing
+  /// callers still compile; the nine algorithms are reachable through
+  /// X3Engine.
   CubeAlgorithm algorithm = CubeAlgorithm::kTDCust;
   /// Iceberg threshold applied to the answer (max with the query's own
   /// HAVING threshold). Applied after caching: the cache always holds
   /// unfiltered cells, so differently-thresholded requests share views.
   int64_t min_count = 0;
   /// Per-axis summarizability annotations; must outlive the server.
-  /// nullptr = assume nothing (id-less roll-ups are never used and the
-  /// OPT algorithm variants are always downgraded). The FIRST request
-  /// that builds a shape fixes the shape's properties; later requests
-  /// for the same normalized query inherit them.
+  /// nullptr = assume nothing (every view keeps fact ids and id-less
+  /// roll-ups are never used). The FIRST request that builds a shape
+  /// fixes the shape's properties; later requests for the same
+  /// normalized query inherit them.
   const LatticeProperties* properties = nullptr;
   /// Per-request deadline in seconds; overrides the server default.
   std::optional<double> deadline_seconds;
-  /// Compute parallelism; 0 = the server default.
-  size_t parallelism = 0;
   /// When false the query bypasses the cuboid cache entirely (no view
-  /// lookups, no cache fill) — the cold-path escape hatch.
+  /// lookups, no cache fill): its donor views are built privately and
+  /// dropped with the answer — the cold-path escape hatch.
   bool use_cache = true;
   /// Caller-supplied tenant label, carried verbatim into the query log
   /// and statusz (attribution only; no isolation semantics).
@@ -133,14 +131,13 @@ struct ServerAnswer {
   /// of the lattice, in topological (finest-first) order, for a
   /// full-cube request.
   std::vector<std::pair<CuboidId, CellMap>> cuboids;
-  /// How the cuboids were answered: exact view hits, safe roll-ups
-  /// from a finer view, or (`computed`) a ComputeCube run.
+  /// How the cuboids were answered: exact view hits or safe roll-ups
+  /// from a cached finer view, or (`computed`, a miss) roll-ups from
+  /// donor views pinned or built for this query. A miss counts no exact
+  /// hits or roll-ups.
   uint64_t exact_hits = 0;
   uint64_t rollup_answers = 0;
   bool computed = false;
-  /// The algorithm that actually ran on the miss path (after any
-  /// safety downgrade); meaningless when `computed` is false.
-  CubeAlgorithm algorithm_used = CubeAlgorithm::kTDCust;
   uint64_t num_cuboids_in_lattice = 0;
   double latency_seconds = 0;
 };
@@ -216,8 +213,10 @@ struct StatuszReport {
 /// admission-controlled through a shared MemoryBudget, bounded by
 /// per-query deadlines and cancellable mid-flight, and answered from
 /// an LRU cache of materialized cuboids whenever CubeViewStore can
-/// prove an exact hit or a safe roll-up — falling back to ComputeCube
-/// (which then fills the cache) otherwise.
+/// prove an exact hit or a safe roll-up. A miss pins or builds each
+/// target's donor view (DonorCuboid) — one base scan, single-flight
+/// across concurrent misses — rolls every target up from it, and
+/// publishes the donor and the requested cuboid to the cache.
 ///
 /// Query shapes — the compiled pattern, its lattice, the materialized
 /// fact table, the property map and the per-shape CubeViewStore — are
@@ -339,6 +338,30 @@ class X3Server {
   void FlushCacheForTest() { cache_.Clear(); }
 
  private:
+  /// Builder/waiter latch of something built once by its first
+  /// requester: later requesters block in Wait() until the builder
+  /// Publish()es the build's status. Query shapes and view builds both
+  /// use it.
+  class BuildLatch {
+   public:
+    void Publish(Status status) X3_EXCLUDES(mu_);
+    Status Wait() const X3_EXCLUDES(mu_);
+
+   private:
+    mutable Mutex mu_{lock_rank::kServerBuildLatch};
+    mutable CondVar ready_cv_;
+    bool ready_ X3_GUARDED_BY(mu_) = false;
+    Status status_ X3_GUARDED_BY(mu_);
+  };
+
+  /// One view build in flight on one snapshot. `view` is written once
+  /// by the builder before it publishes `built`, and read by waiters
+  /// only after Wait() returned OK.
+  struct ViewBuild {
+    BuildLatch built;
+    CubeViewStore::ViewPtr view;
+  };
+
   /// One immutable version of a shape's materialized state: the
   /// compiled query, lattice and fact table (X3Engine::Prepare's
   /// output) plus the view store the cuboid cache manages views in.
@@ -355,18 +378,21 @@ class X3Server {
   };
 
   /// Everything the server keeps per normalized query: the current
-  /// snapshot, the shape's property map, and the build latch. Built
-  /// lazily by the first query of the shape; `mu` is the build latch
-  /// and guards the snapshot pointer swap. `properties` is immutable
-  /// once `ready` is published under `mu`.
+  /// snapshot, the shape's property map, the build latch and the view
+  /// builds in flight. Built lazily by the first query of the shape;
+  /// `mu` guards the snapshot pointer swap and the in-flight view
+  /// builds. `properties` is immutable once `built` is published.
   struct ShapeState {
+    BuildLatch built;
     Mutex mu{lock_rank::kServerShape};
-    CondVar ready_cv;
-    bool ready X3_GUARDED_BY(mu) = false;
-    Status build_status X3_GUARDED_BY(mu);
     LatticeProperties properties;
     bool disjoint_everywhere = false;
     std::shared_ptr<const ShapeSnapshot> snapshot X3_GUARDED_BY(mu);
+    /// View builds in flight, keyed by (snapshot's view store, cuboid):
+    /// an entry lives from its builder's start to its publication.
+    std::map<std::pair<const CubeViewStore*, CuboidId>,
+             std::shared_ptr<ViewBuild>>
+        view_builds X3_GUARDED_BY(mu);
   };
 
   /// Pins the shape's current snapshot (brief shape->mu acquisition).
@@ -419,15 +445,35 @@ class X3Server {
       const LatticeProperties* properties, ExecutionContext* ctx)
       X3_EXCLUDES(mu_);
 
-  /// Materializes `cuboid` into the snapshot's view store (if absent)
-  /// and accounts it with the LRU cache — only while `snapshot` is
-  /// still the shape's current one. A reader racing a snapshot swap
-  /// keeps its (now-stale) view for its own query but never registers
-  /// it with the cache, so the cache never holds keys into a store
-  /// whose snapshot has been retired.
-  void EnsureMaterialized(ShapeState* shape,
-                          const std::shared_ptr<const ShapeSnapshot>& snapshot,
-                          CuboidId cuboid);
+  /// Returns `cuboid`'s view of `snapshot`, pinned: the published view
+  /// when there is one, else a fresh base-table build (with fact ids
+  /// unless the shape is disjoint everywhere). Concurrent requests
+  /// for one (snapshot, cuboid) build it once; the others wait for the
+  /// builder and retry if it failed. A build is published to the view
+  /// store, and accounted with the LRU cache only while `snapshot` is
+  /// still the shape's current one: a reader racing a snapshot swap
+  /// keeps its (now-stale) view for its own query, but the cache never
+  /// holds keys into a store whose snapshot has been retired. With
+  /// `use_cache` false the view is built privately and published
+  /// nowhere.
+  Result<CubeViewStore::ViewPtr> AcquireView(
+      ShapeState* shape, const std::shared_ptr<const ShapeSnapshot>& snapshot,
+      CuboidId cuboid, bool use_cache, ExecutionContext* ctx)
+      X3_EXCLUDES(shape->mu);
+
+  /// The miss path: pins or builds each target's donor view, rolls
+  /// every target up from its donor into `cells`, then publishes the
+  /// requested cuboid's own view. Records stages "materialize" (donor
+  /// acquisition), "compute" (roll-ups) and "cache-fill" (the requested
+  /// cuboid's view), and the slow-lane rendering of the miss when the
+  /// query is past the slow threshold.
+  Status AnswerMiss(ShapeState* shape,
+                    const std::shared_ptr<const ShapeSnapshot>& snapshot,
+                    const ServerRequest& request,
+                    const std::vector<CuboidId>& targets,
+                    ExecutionContext* ctx, InflightEntry* inflight,
+                    QueryLogRecord* record,
+                    std::vector<std::pair<CuboidId, CellMap>>* cells);
 
   /// Delta-maintains one shape after a batch committed at `commit_lsn`
   /// grew the database past `first_new_node`: clones the fact table,
@@ -441,7 +487,6 @@ class X3Server {
   const X3ServerOptions options_;
   X3Engine engine_;
   MemoryBudget budget_;
-  TempFileManager temp_files_;
   CuboidCache cache_;
 
   /// Serializes writers (rank kServerWrite: held across the whole
@@ -489,6 +534,14 @@ class X3Server {
 /// not (axis variable names and iceberg thresholds are excluded, so
 /// renamed variables and different HAVING clauses share one shape).
 std::string NormalizedQueryKey(const CubeQuery& query);
+
+/// The donor of `target`: the cuboid with every axis present, `target`'s
+/// state on each axis it keeps and the rigid state on the axes it
+/// drops. `target` is an LND-descendant of its donor, so the donor's
+/// view (with fact ids, or without when disjointness is proven) rolls
+/// up to it (§3.6). For LND-only lattices every donor is the finest
+/// cuboid.
+CuboidId DonorCuboid(const CubeLattice& lattice, CuboidId target);
 
 }  // namespace x3
 

@@ -65,13 +65,12 @@ void PageHandle::Release() {
 }
 
 BufferPool::BufferPool(PageFile* file, size_t capacity)
-    : file_(file), capacity_(capacity == 0 ? 1 : capacity) {
-  frames_.resize(capacity_);
-  free_frames_.reserve(capacity_);
-  for (size_t i = 0; i < capacity_; ++i) {
-    free_frames_.push_back(capacity_ - 1 - i);
-  }
-}
+    : file_(file),
+      capacity_(capacity == 0 ? 1 : capacity),
+      frames_(capacity_),
+      // new Page[] (not make_unique, which zeroes): an unwritten payload
+      // stays unbacked until its frame is first used.
+      pages_(new Page[capacity_]) {}
 
 BufferPool::~BufferPool() {
   Status s = FlushAll();
@@ -99,7 +98,7 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
   PoolMissesCounter().Increment();
   X3_ASSIGN_OR_RETURN(size_t frame, GrabFrame());
   Frame& f = frames_[frame];
-  Status s = file_->ReadPage(id, &f.page);
+  Status s = file_->ReadPage(id, &pages_[frame]);
   if (!s.ok()) {
     free_frames_.push_back(frame);
     return s;
@@ -120,7 +119,7 @@ Result<PageHandle> BufferPool::New() {
   X3_ASSIGN_OR_RETURN(PageId id, file_->AllocatePage());
   X3_ASSIGN_OR_RETURN(size_t frame, GrabFrame());
   Frame& f = frames_[frame];
-  f.page.Zero();
+  pages_[frame].Zero();
   f.page_id = id;
   f.pin_count = 1;
   f.dirty = true;
@@ -131,10 +130,10 @@ Result<PageHandle> BufferPool::New() {
 
 Status BufferPool::FlushAll() {
   MutexLock lock(&mu_);
-  for (size_t i = 0; i < frames_.size(); ++i) {
+  for (size_t i = 0; i < used_; ++i) {
     Frame& f = frames_[i];
     if (f.page_id != kInvalidPageId && f.dirty) {
-      X3_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.page));
+      X3_RETURN_IF_ERROR(file_->WritePage(f.page_id, pages_[i]));
       f.dirty = false;
       ++stats_.dirty_writebacks;
       PoolWritebacksCounter().Increment();
@@ -146,6 +145,11 @@ Status BufferPool::FlushAll() {
 BufferPoolStats BufferPool::stats() const {
   MutexLock lock(&mu_);
   return stats_;
+}
+
+size_t BufferPool::frames_used() const {
+  MutexLock lock(&mu_);
+  return used_;
 }
 
 void BufferPool::Unpin(size_t frame) {
@@ -170,6 +174,7 @@ Result<size_t> BufferPool::GrabFrame() {
     free_frames_.pop_back();
     return frame;
   }
+  if (used_ < capacity_) return used_++;
   if (lru_.empty()) {
     return Status::ResourceExhausted(StringPrintf(
         "buffer pool of %zu frames fully pinned", capacity_));
@@ -181,7 +186,7 @@ Result<size_t> BufferPool::GrabFrame() {
   ++stats_.evictions;
   PoolEvictionsCounter().Increment();
   if (f.dirty) {
-    X3_RETURN_IF_ERROR(file_->WritePage(f.page_id, f.page));
+    X3_RETURN_IF_ERROR(file_->WritePage(f.page_id, pages_[frame]));
     ++stats_.dirty_writebacks;
     PoolWritebacksCounter().Increment();
     f.dirty = false;

@@ -70,12 +70,16 @@ struct BufferPoolStats {
 /// guarded by `mu_` (rank lock_rank::kBufferPool), so Fetch/New/
 /// FlushAll and handle release may be called from concurrent workers.
 /// Page *payload* access via a PageHandle deliberately bypasses the
-/// lock: a pinned frame is never evicted or reused, `frames_` is never
-/// resized after construction, and writers of the same page must
+/// lock: a pinned frame is never evicted or reused, `pages_` is never
+/// reallocated after construction, and writers of the same page must
 /// coordinate among themselves (same rule as before the pool was
-/// lock-protected). Disk I/O for misses/evictions currently happens
-/// with `mu_` held — acceptable at the engine's stage-granular
-/// concurrency; a future serving layer would split the lock. See
+/// lock-protected). Frame payloads are never written before their
+/// frame is first handed out, so the operating system backs only the
+/// frames a pool has used: a large pool that holds few pages costs few
+/// resident bytes and no set-up time. Disk I/O for misses/evictions
+/// currently happens with `mu_` held — acceptable at the engine's
+/// stage-granular concurrency; a future serving layer would split the
+/// lock. See
 /// docs/STATIC_ANALYSIS.md §7 for the annotation macros and the full
 /// lock-rank table.
 class BufferPool {
@@ -100,6 +104,9 @@ class BufferPool {
   Status FlushAll() X3_EXCLUDES(mu_);
 
   size_t capacity() const { return capacity_; }
+  /// Frames handed out at least once (<= capacity()); the payloads of
+  /// the others have never been written.
+  size_t frames_used() const X3_EXCLUDES(mu_);
   /// Snapshot of the traffic counters (by value: the counters are
   /// guarded, a reference would escape the lock).
   BufferPoolStats stats() const X3_EXCLUDES(mu_);
@@ -108,8 +115,8 @@ class BufferPool {
  private:
   friend class PageHandle;
 
+  /// Bookkeeping of one frame; its payload is pages_[frame].
   struct Frame {
-    Page page;
     PageId page_id = kInvalidPageId;
     uint32_t pin_count = 0;
     bool dirty = false;
@@ -120,22 +127,28 @@ class BufferPool {
 
   void Unpin(size_t frame) X3_EXCLUDES(mu_);
   void MarkDirty(size_t frame) X3_EXCLUDES(mu_);
-  /// Finds a frame for a new resident page, evicting if needed.
+  /// Finds a frame for a new resident page: a never-used frame first,
+  /// evicting only once every frame has been used.
   Result<size_t> GrabFrame() X3_REQUIRES(mu_);
   /// Payload of a pinned frame. Outside the analysis on purpose: pin
   /// protection (not mu_) is what makes the access safe — see the
   /// class comment.
   Page& PinnedPage(size_t frame) X3_NO_THREAD_SAFETY_ANALYSIS {
-    return frames_[frame].page;
+    return pages_[frame];
   }
 
   PageFile* file_;
   size_t capacity_;
   mutable Mutex mu_{lock_rank::kBufferPool};
-  /// Sized once in the constructor, never resized: PinnedPage indexes
-  /// it without the lock under pin protection.
   std::vector<Frame> frames_ X3_GUARDED_BY(mu_);
+  /// Frame payloads, default-initialized (left unwritten) and allocated
+  /// once in the constructor: PinnedPage indexes them without the lock
+  /// under pin protection.
+  std::unique_ptr<Page[]> pages_;
+  /// Used frames that hold no page.
   std::vector<size_t> free_frames_ X3_GUARDED_BY(mu_);
+  /// Frames [used_, capacity_) have never been handed out.
+  size_t used_ X3_GUARDED_BY(mu_) = 0;
   std::unordered_map<PageId, size_t> page_table_ X3_GUARDED_BY(mu_);
   /// Unpinned frames, least recently used first.
   std::list<size_t> lru_ X3_GUARDED_BY(mu_);

@@ -84,7 +84,8 @@ inline constexpr uint32_t kServerWrite = 20;  // X3Server::write_mu_
 inline constexpr uint32_t kDatabaseIngest = 30;  // X3Server::db_mu_
 inline constexpr uint32_t kServerSession = 40;  // X3Server::mu_
 inline constexpr uint32_t kServerInflight = 50;  // X3Server::inflight_mu_
-inline constexpr uint32_t kServerShape = 60;    // ShapeState build latch
+inline constexpr uint32_t kServerShape = 60;    // ShapeState::mu
+inline constexpr uint32_t kServerBuildLatch = 70;  // X3Server::BuildLatch
 inline constexpr uint32_t kServerCache = 80;    // CuboidCache::mu_
 inline constexpr uint32_t kServerTicket = 90;   // X3Server::Ticket::mu_
 inline constexpr uint32_t kQueryLog = 95;       // QueryLog::mu_

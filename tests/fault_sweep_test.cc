@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -606,157 +607,169 @@ std::map<CuboidId, std::map<GroupKey, int64_t>> FlattenAnswer(
   return flat;
 }
 
-/// Sweeps storage faults through an X3Server whose spill files run over
-/// a FaultInjectionEnv. Invariants per iteration: the query the fault
-/// lands in fails with a structured error (or absorbs it and stays
-/// cell-exact), the other in-flight queries stay exact, a follow-up
-/// query on the healed env is exact, and the admission budget drains
-/// back to zero — a faulted query must never wedge the session.
+/// Sweeps storage faults through the serving layer's one I/O path: an
+/// X3Server over a Database whose WAL and pages run over a
+/// FaultInjectionEnv, committing document batches (CommitDocuments)
+/// between reads (a full cube and one cuboid). The schedule starts
+/// after the base corpus is durable. Invariants per iteration: a batch
+/// the fault lands in fails with a structured error and leaves no
+/// trace; every read succeeds and is cell-exact over the batches that
+/// did commit; the admission budget drains back to zero. (Spill I/O is
+/// the engine's alone — the server answers misses by in-memory roll-up
+/// — and FaultSweepTest covers it.)
 class ServerFaultSweepTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  static constexpr size_t kRounds = 3;
+  static constexpr size_t kDocsPerBatch = 2;
+
+  void SetUp() override { db_path_ = files_.NextPath("server-sweep-db"); }
+  void TearDown() override { CleanSlate(); }
+
+  void CleanSlate() {
+    Env::Default()->RemoveFile(db_path_).IgnoreError();
+    Env::Default()->RemoveFile(db_path_ + ".cat").IgnoreError();
+    WriteAheadLog::RemoveSegments(Env::Default(), db_path_).IgnoreError();
+  }
+
+  static std::vector<std::string> Batch(size_t round) {
+    std::vector<std::string> docs;
+    for (size_t d = 0; d < kDocsPerBatch; ++d) {
+      size_t i = kNumPublications + round * kDocsPerBatch + d;
+      docs.push_back("<database><publication><author><name>author" +
+                     std::to_string(i % 13) + "</name></author><year>" +
+                     std::to_string(2001 + i % 3) +
+                     "</year></publication></database>");
+    }
+    return docs;
+  }
+
+  /// Reference cube over the base corpus plus `batches`, loaded in the
+  /// same order into a pristine in-memory database (so interned
+  /// ValueIds line up with the server's).
+  const std::map<CuboidId, std::map<GroupKey, int64_t>>& Reference(
+      const std::vector<size_t>& batches) {
+    auto it = references_.find(batches);
+    if (it != references_.end()) return it->second;
+    auto& flat = references_[batches];
     auto db = Database::Open({});
-    ASSERT_TRUE(db.ok()) << db.status();
-    db_ = std::move(*db);
-    ASSERT_TRUE(db_->LoadXmlString(BuildCorpusXml()).ok());
-
-    X3Engine probe(db_.get());
-    auto query = probe.Compile(kQuery);
-    ASSERT_TRUE(query.ok()) << query.status();
-    query_ = *query;
-    auto prepared = probe.Prepare(query_);
-    ASSERT_TRUE(prepared.ok()) << prepared.status();
-    finest_ = prepared->lattice.FinestCuboid();
-    coarsest_ = prepared->lattice.TopoOrder().back();
-    // Admission fits exactly one in-flight query, and the slack left
-    // over after the fact-table reservation is far below the sorter's
-    // working set — every compute run spills through the injected env.
-    budget_bytes_ = prepared->facts.ApproxBytes() + 1024;
-  }
-
-  /// The per-iteration request mix: three TD computes (full cube,
-  /// coarsest point, finest point). use_cache=false keeps every request
-  /// on the compute path, so each one's spill I/O is in the schedule.
-  std::vector<ServerRequest> MakeRequests() const {
-    std::vector<ServerRequest> requests(3);
-    requests[1].target = coarsest_;
-    requests[2].target = finest_;
-    for (ServerRequest& r : requests) {
-      r.query = query_;
-      r.algorithm = CubeAlgorithm::kTD;
-      r.use_cache = false;
+    EXPECT_TRUE(db.ok()) << db.status();
+    if (!db.ok()) return flat;
+    EXPECT_TRUE((*db)->LoadXmlString(BuildCorpusXml()).ok());
+    for (size_t round : batches) {
+      for (const std::string& doc : Batch(round)) {
+        EXPECT_TRUE((*db)->LoadXmlString(doc).ok());
+      }
     }
-    return requests;
+    X3Engine engine(db->get());
+    auto exec = engine.Execute(kQuery, CubeAlgorithm::kTD);
+    EXPECT_TRUE(exec.ok()) << exec.status();
+    if (exec.ok()) flat = FlattenCube(*exec);
+    return flat;
   }
 
-  /// One worker: submissions are concurrent, execution is FIFO, so the
-  /// spill-op schedule is deterministic and index-replay is meaningful.
-  std::unique_ptr<X3Server> MakeServer(Env* env) {
+  /// The swept session: reads before the first batch and after every
+  /// batch, on a fresh durable database over `env`. Arms `opts` once
+  /// the base corpus is checkpointed. Returns the number of I/O ops the
+  /// armed phase saw.
+  uint64_t RunSession(FaultInjectionEnv* env,
+                      const FaultInjectionEnv::Options& opts,
+                      const std::string& label) {
+    CleanSlate();
+    env->Arm(FaultInjectionEnv::Options{});
+    DatabaseOptions db_options;
+    db_options.data_file = db_path_;
+    db_options.env = env;
+    auto db = Database::Open(db_options);
+    EXPECT_TRUE(db.ok()) << label << ": " << db.status();
+    if (!db.ok()) return 0;
+    EXPECT_TRUE((*db)->LoadXmlString(BuildCorpusXml()).ok());
+    EXPECT_TRUE((*db)->Checkpoint().ok());
+    env->Arm(opts);
+
     X3ServerOptions options;
-    options.num_threads = 1;
-    options.admission_budget_bytes = budget_bytes_;
-    options.env = env;
-    return std::make_unique<X3Server>(db_.get(), options);
+    options.num_threads = 2;
+    options.admission_budget_bytes = 64 << 20;
+    X3Server server(db->get(), options);
+    std::vector<size_t> committed;
+    std::optional<CuboidId> coarsest;
+    auto read_all = [&](const std::string& when) {
+      const auto& reference = Reference(committed);
+      ServerRequest full;
+      full.query_text = kQuery;
+      auto answer = server.Execute(full);
+      ASSERT_TRUE(answer.ok()) << label << " " << when << ": "
+                               << answer.status();
+      EXPECT_EQ(FlattenAnswer(*answer), reference)
+          << label << " " << when << ": full cube off the committed batches";
+      if (!coarsest.has_value()) coarsest = answer->cuboids.back().first;
+      ServerRequest one = full;
+      one.target = *coarsest;
+      answer = server.Execute(one);
+      ASSERT_TRUE(answer.ok()) << label << " " << when << ": "
+                               << answer.status();
+      EXPECT_EQ(FlattenAnswer(*answer).at(*coarsest), reference.at(*coarsest))
+          << label << " " << when << ": cuboid off the committed batches";
+    };
+    read_all("before any batch");
+    for (size_t round = 0; round < kRounds; ++round) {
+      const std::string when = "after batch " + std::to_string(round);
+      auto result = server.CommitDocuments(Batch(round));
+      if (result.ok()) {
+        committed.push_back(round);
+      } else {
+        ++failed_batches_;
+        EXPECT_GE(env->faults_fired(), 1u)
+            << label << ": batch " << round << " failed without a fault: "
+            << result.status().ToString();
+        EXPECT_FALSE(result.status().message().empty()) << label;
+      }
+      read_all(when);
+      if (::testing::Test::HasFatalFailure()) break;
+    }
+    EXPECT_EQ(server.budget()->used(), 0u)
+        << label << ": admission budget leaked";
+    uint64_t ops = env->ops_seen();
+    env->Arm(FaultInjectionEnv::Options{});
+    return ops;
   }
 
-  /// Runs the mix against a fresh server on `env`; every answer must be
-  /// OK. Returns the flattened answers.
-  std::vector<std::map<CuboidId, std::map<GroupKey, int64_t>>> RunClean(
-      Env* env) {
-    std::vector<std::map<CuboidId, std::map<GroupKey, int64_t>>> flats;
-    auto server = MakeServer(env);
-    std::vector<std::shared_ptr<X3Server::Ticket>> tickets;
-    for (ServerRequest& request : MakeRequests()) {
-      tickets.push_back(server->Submit(std::move(request)));
-    }
-    for (auto& ticket : tickets) {
-      auto answer = ticket->Wait();
-      EXPECT_TRUE(answer.ok()) << answer.status();
-      if (!answer.ok()) return flats;
-      flats.push_back(FlattenAnswer(*answer));
-    }
-    EXPECT_EQ(server->budget()->used(), 0u);
-    return flats;
-  }
-
-  std::unique_ptr<Database> db_;
-  CubeQuery query_;
-  CuboidId finest_ = 0;
-  CuboidId coarsest_ = 0;
-  size_t budget_bytes_ = 0;
+  TempFileManager files_;
+  std::string db_path_;
+  std::map<std::vector<size_t>, std::map<CuboidId, std::map<GroupKey, int64_t>>>
+      references_;
+  size_t failed_batches_ = 0;
 };
 
-TEST_F(ServerFaultSweepTest, SpillFaultsFailCleanlyAndSessionStaysLive) {
-  // Learn the schedule, and prove it is replayable.
+TEST_F(ServerFaultSweepTest, CommitFaultsLeaveNoTraceAndReadsStayExact) {
+  // Learn the armed phase's schedule, and prove it is replayable.
   FaultInjectionEnv counting(Env::Default());
-  auto reference = RunClean(&counting);
-  ASSERT_EQ(reference.size(), 3u);
-  const uint64_t total_ops = counting.ops_seen();
-  ASSERT_GT(total_ops, 0u)
-      << "server mix must spill so its I/O is in the swept schedule";
-  {
-    FaultInjectionEnv recount(Env::Default());
-    auto again = RunClean(&recount);
-    ASSERT_EQ(again.size(), 3u);
-    ASSERT_EQ(recount.ops_seen(), total_ops);
-    for (size_t i = 0; i < 3; ++i) ASSERT_EQ(again[i], reference[i]);
-  }
-  std::cout << "[ SCHEDULE ] " << total_ops << " server spill ops"
+  const uint64_t total_ops =
+      RunSession(&counting, FaultInjectionEnv::Options{}, "clean run");
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  ASSERT_GT(total_ops, kRounds) << "every batch must reach the WAL";
+  ASSERT_EQ(RunSession(&counting, FaultInjectionEnv::Options{}, "recount"),
+            total_ops);
+  std::cout << "[ SCHEDULE ] " << total_ops << " server write-lane I/O ops"
             << std::endl;
 
   constexpr FaultKind kKinds[] = {FaultKind::kEIO, FaultKind::kENOSPC,
-                                  FaultKind::kShortRead,
                                   FaultKind::kShortWrite,
-                                  FaultKind::kSyncFailure};
+                                  FaultKind::kSyncFailure,
+                                  FaultKind::kTornWriteCrash};
   FaultInjectionEnv fault(Env::Default());
-  const uint64_t stride = std::max<uint64_t>(1, total_ops / 24);
-  for (uint64_t index = 0; index < total_ops; index += stride) {
-    FaultInjectionEnv::Options opts;
-    opts.fail_op_index = index;
-    opts.kind = kKinds[HashFinalize(0xfeed ^ index) % std::size(kKinds)];
-    opts.seed = index;
-    fault.Arm(opts);
-    const std::string label = "server op " + std::to_string(index) + " (" +
-                              FaultKindToString(opts.kind) + ")";
-
-    auto server = MakeServer(&fault);
-    auto requests = MakeRequests();
-    std::vector<std::shared_ptr<X3Server::Ticket>> tickets;
-    for (ServerRequest& request : requests) {
-      ServerRequest copy = request;
-      tickets.push_back(server->Submit(std::move(copy)));
+  for (uint64_t index = 0; index < total_ops; ++index) {
+    for (FaultKind kind : kKinds) {
+      FaultInjectionEnv::Options opts;
+      opts.fail_op_index = index;
+      opts.kind = kind;
+      opts.seed = index;
+      RunSession(&fault, opts,
+                 "server op " + std::to_string(index) + " (" +
+                     FaultKindToString(kind) + ")");
+      if (::testing::Test::HasFatalFailure()) return;
     }
-    for (size_t i = 0; i < tickets.size(); ++i) {
-      auto answer = tickets[i]->Wait();
-      if (answer.ok()) {
-        // The fault landed elsewhere (or was absorbed): absorption is
-        // only acceptable when the cells are still exactly right.
-        EXPECT_EQ(FlattenAnswer(*answer), reference[i])
-            << label << ": request " << i
-            << " absorbed a fault and answered wrong cells";
-      } else {
-        // Structured failure, attributable to the injection — never a
-        // crash, never a leaked admission slot (checked after drain).
-        EXPECT_GE(fault.faults_fired(), 1u)
-            << label << ": request " << i << " failed without a fault: "
-            << answer.status().ToString();
-      }
-    }
-    EXPECT_EQ(server->budget()->used(), 0u)
-        << label << ": admission budget leaked";
-
-    // Heal the env (the one-shot fault may or may not have fired —
-    // a mid-flight abort short-circuits the rest of that query's
-    // schedule) and the same session must serve exact answers again.
-    fault.Arm(FaultInjectionEnv::Options{});
-    auto followup = server->Execute(requests[0]);
-    ASSERT_TRUE(followup.ok())
-        << label << ": follow-up on healed env failed: "
-        << followup.status().ToString();
-    EXPECT_EQ(FlattenAnswer(*followup), reference[0]) << label;
-    EXPECT_EQ(server->budget()->used(), 0u) << label;
-    if (::testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(failed_batches_, 0u) << "no injected fault reached a batch";
 }
 
 }  // namespace

@@ -448,6 +448,11 @@ TEST(QueryObservabilityTest, StatuszSeesInflightQueryWithStage) {
 }
 
 TEST(QueryObservabilityTest, TraceSpansCarryTheQueryId) {
+#if !defined(X3_ENABLE_TRACING)
+  // A build precondition, not a weaker check: with X3_ENABLE_TRACING
+  // off (plain Release) spans compile to no-ops, so there are none.
+  GTEST_SKIP() << "trace spans are compiled out (X3_ENABLE_TRACING off)";
+#endif
   ServerFixture fx;
   Tracer& tracer = Tracer::Global();
   tracer.Clear();

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -14,6 +15,7 @@
 #include "gen/workload.h"
 #include "schema/dtd_parser.h"
 #include "server/x3_server.h"
+#include "util/metrics.h"
 #include "util/random.h"
 #include "x3/engine.h"
 
@@ -40,6 +42,30 @@ struct ShapeRef {
         reference(std::move(reference_in)) {}
 };
 
+/// Compiles `query` over `db`, infers its properties from `dtd` and
+/// computes its full reference cube.
+std::unique_ptr<ShapeRef> MakeShapeRef(Database* db, CubeQuery query,
+                                       const std::string& dtd,
+                                       const std::string& fact_tag) {
+  auto schema = ParseDtd(dtd);
+  EXPECT_TRUE(schema.ok());
+  X3Engine engine(db);
+  auto prepared = engine.Prepare(query);
+  EXPECT_TRUE(prepared.ok());
+  auto properties =
+      InferLatticeProperties(*schema, prepared->lattice, fact_tag);
+  EXPECT_TRUE(properties.ok());
+  CubeComputeOptions options;
+  options.aggregate = query.aggregate;
+  auto reference = ComputeCube(CubeAlgorithm::kReference, prepared->facts,
+                               prepared->lattice, options);
+  EXPECT_TRUE(reference.ok());
+  return std::make_unique<ShapeRef>(
+      std::move(query), std::move(*properties),
+      std::move(prepared->lattice), std::move(prepared->facts),
+      std::move(*reference));
+}
+
 /// The shared multi-tenant corpus: Treebank trees and DBLP articles in
 /// ONE database, with per-shape references. Built once for the suite
 /// (the reference cubes are the expensive part).
@@ -62,7 +88,7 @@ class Corpus {
 
     // Both summarizability properties fail on both corpora (missing and
     // repeated axis elements), so the server must rely on fact-id
-    // roll-ups and algorithm downgrades — the hard case.
+    // roll-ups — the hard case.
     ExperimentSetting setting;
     setting.num_axes = 3;
     setting.num_trees = 160;
@@ -73,36 +99,14 @@ class Corpus {
     TreebankConfig config = MakeTreebankConfig(setting);
     TreebankGenerator treebank_gen(config);
     EXPECT_TRUE(treebank_gen.LoadInto(db_.get(), setting.num_trees).ok());
-    treebank_ = BuildShape(MakeTreebankQuery(config),
-                           treebank_gen.MatchingDtd(), TreebankRootTag());
+    treebank_ = MakeShapeRef(db_.get(), MakeTreebankQuery(config),
+                             treebank_gen.MatchingDtd(), TreebankRootTag());
 
     DblpConfig dblp_config;
     dblp_config.seed = 77;
     DblpGenerator dblp_gen(dblp_config);
     EXPECT_TRUE(dblp_gen.LoadInto(db_.get(), 250).ok());
-    dblp_ = BuildShape(MakeDblpQuery(), DblpDtd(), "article");
-  }
-
-  std::unique_ptr<ShapeRef> BuildShape(CubeQuery query,
-                                       const std::string& dtd,
-                                       const std::string& fact_tag) {
-    auto schema = ParseDtd(dtd);
-    EXPECT_TRUE(schema.ok());
-    X3Engine engine(db_.get());
-    auto prepared = engine.Prepare(query);
-    EXPECT_TRUE(prepared.ok());
-    auto properties =
-        InferLatticeProperties(*schema, prepared->lattice, fact_tag);
-    EXPECT_TRUE(properties.ok());
-    CubeComputeOptions options;
-    options.aggregate = query.aggregate;
-    auto reference = ComputeCube(CubeAlgorithm::kReference, prepared->facts,
-                                 prepared->lattice, options);
-    EXPECT_TRUE(reference.ok());
-    return std::make_unique<ShapeRef>(
-        std::move(query), std::move(*properties),
-        std::move(prepared->lattice), std::move(prepared->facts),
-        std::move(*reference));
+    dblp_ = MakeShapeRef(db_.get(), MakeDblpQuery(), DblpDtd(), "article");
   }
 
   std::unique_ptr<Database> db_;
@@ -152,11 +156,11 @@ ServerRequest MakeRequest(const ShapeRef& shape,
   return request;
 }
 
-/// The seeded random mix of the issue: shapes x targets (including the
-/// full cube) x algorithms (including unsafe ones that must be
-/// downgraded) x iceberg thresholds x parallelism, submitted
-/// concurrently against a small cache (eviction pressure) with a few
-/// mid-flight cancellations, then checked cell-by-cell.
+/// The seeded random mix: shapes x targets (including the full cube) x
+/// requested algorithms (which the server ignores) x iceberg
+/// thresholds, submitted concurrently against a small cache (eviction
+/// pressure) with a few mid-flight cancellations, then checked
+/// cell-by-cell.
 TEST(ServerConformanceTest, SeededRandomMixIsCellExact) {
   Corpus& corpus = Corpus::Get();
   const CubeAlgorithm kAlgorithms[] = {
@@ -165,8 +169,6 @@ TEST(ServerConformanceTest, SeededRandomMixIsCellExact) {
       CubeAlgorithm::kTD,      CubeAlgorithm::kTDOpt,
       CubeAlgorithm::kTDOptAll, CubeAlgorithm::kTDCust,
   };
-  const size_t kParallelism[] = {1, 2, 0};
-
   for (uint64_t seed : {11u, 23u}) {
     Random rng(seed);
     X3ServerOptions options;
@@ -187,7 +189,6 @@ TEST(ServerConformanceTest, SeededRandomMixIsCellExact) {
           rng.Bernoulli(0.5) ? corpus.treebank() : corpus.dblp();
       ServerRequest request = MakeRequest(shape);
       request.algorithm = kAlgorithms[rng.Uniform(8)];
-      request.parallelism = kParallelism[rng.Uniform(3)];
       request.min_count = rng.Bernoulli(0.25) ? 2 : 0;
       if (!rng.Bernoulli(1.0 / 6)) {  // 1-in-6 asks for the full cube
         request.target =
@@ -301,7 +302,7 @@ TEST(ServerConformanceTest, CacheFlushForcesRecompute) {
   ExpectAnswerExact(shape, *answer, 0, "after flush");
 }
 
-TEST(ServerConformanceTest, UnsafeAlgorithmIsDowngraded) {
+TEST(ServerConformanceTest, UnsafeAlgorithmRequestIsExact) {
   Corpus& corpus = Corpus::Get();
   X3Server server(corpus.db(), {});
   ShapeRef& shape = corpus.treebank();  // neither property holds
@@ -310,10 +311,7 @@ TEST(ServerConformanceTest, UnsafeAlgorithmIsDowngraded) {
   request.use_cache = false;
   auto answer = server.Execute(std::move(request));
   ASSERT_TRUE(answer.ok());
-  EXPECT_TRUE(answer->computed);
-  EXPECT_EQ(answer->algorithm_used, CubeAlgorithm::kTDCust)
-      << "TDOPTALL's assumptions fail on this corpus";
-  ExpectAnswerExact(shape, *answer, 0, "downgraded");
+  ExpectAnswerExact(shape, *answer, 0, "unsafe algorithm requested");
 }
 
 TEST(ServerConformanceTest, AdmissionDenialUnderTinyBudget) {
@@ -392,6 +390,107 @@ TEST(ServerConformanceTest, ConcurrentSameShapeBuildsOnce) {
   }
   EXPECT_EQ(server.num_shapes(), 1u)
       << "concurrent first queries must share one shape build";
+  EXPECT_EQ(server.budget()->used(), 0u);
+}
+
+uint64_t ViewBuilds() {
+  return MetricRegistry::Global()
+      .GetCounter("x3_server_view_builds_total", "")
+      ->value();
+}
+
+TEST(ServerConformanceTest, ConcurrentMissesBuildTheDonorOnce) {
+  Corpus& corpus = Corpus::Get();
+  X3ServerOptions options;
+  options.num_threads = 8;
+  X3Server server(corpus.db(), options);
+  ShapeRef& shape = corpus.dblp();
+  CuboidId coarsest = shape.lattice.TopoOrder().back();
+  ASSERT_EQ(DonorCuboid(shape.lattice, coarsest),
+            shape.lattice.FinestCuboid());
+  const uint64_t builds_before = ViewBuilds();
+  std::vector<std::shared_ptr<X3Server::Ticket>> tickets;
+  for (int i = 0; i < 16; ++i) {
+    tickets.push_back(server.Submit(MakeRequest(shape, coarsest)));
+  }
+  size_t computed = 0;
+  for (auto& ticket : tickets) {
+    auto answer = ticket->Wait();
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    if (answer->computed) ++computed;
+    ExpectAnswerExact(shape, *answer, 0, "concurrent miss");
+  }
+  EXPECT_GE(computed, 1u);
+  // One donor (the finest cuboid) and the requested cuboid's own view,
+  // each built once however many misses raced on them.
+  EXPECT_EQ(ViewBuilds() - builds_before, 2u);
+  EXPECT_EQ(server.cache_views(), 2u);
+  EXPECT_EQ(server.budget()->used(), 0u);
+}
+
+/// An LND + PC-AD shape over nested Treebank trees (the structural
+/// sweep of cube_test.cc): a target that keeps an axis at its relaxed
+/// (//) state has a donor other than the finest cuboid, so donor
+/// selection is checked cell-exact for every single target on a cold
+/// cache and for the full cube.
+TEST(ServerConformanceTest, StructuralRelaxationDonorsAreCellExact) {
+  TreebankConfig config;
+  config.seed = 71;
+  config.num_axes = 3;
+  config.value_cardinality = 8;
+  config.nesting_probability = 0.4;  // nested instances need PC-AD
+  config.repeat_probability = 0.2;
+  config.missing_probability = 0.1;
+  TreebankGenerator generator(config);
+  auto db = Database::Open({});
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE(generator.LoadInto(db->get(), 200).ok());
+  std::unique_ptr<ShapeRef> shape = MakeShapeRef(
+      db->get(),
+      MakeTreebankQuery(config, RelaxationSet::Of({RelaxationType::kLND,
+                                                   RelaxationType::kPCAD})),
+      generator.MatchingDtd(), TreebankRootTag());
+  const CubeLattice& lattice = shape->lattice;
+  ASSERT_EQ(lattice.num_cuboids(), 27u);  // rigid, //axis, absent per axis
+
+  // A donor has every axis present and keeps its target's states.
+  std::set<CuboidId> donors;
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    CuboidId donor = DonorCuboid(lattice, c);
+    donors.insert(donor);
+    EXPECT_EQ(lattice.PresentAxes(donor).size(), lattice.num_axes());
+    for (size_t axis : lattice.PresentAxes(c)) {
+      EXPECT_EQ(lattice.StateOf(donor, axis), lattice.StateOf(c, axis))
+          << "cuboid " << c << " axis " << axis;
+    }
+  }
+  EXPECT_EQ(donors.size(), 8u);  // rigid or // on each of three axes
+
+  X3Server server(db->get(), {});
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    server.FlushCacheForTest();
+    auto answer = server.Execute(MakeRequest(*shape, c));
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_TRUE(answer->computed) << "cuboid " << c;
+    ExpectAnswerExact(*shape, *answer, 0, "cold single target");
+  }
+
+  // The full cube builds each distinct donor once; every cuboid is
+  // then served from the cached donors.
+  server.FlushCacheForTest();
+  const uint64_t builds_before = ViewBuilds();
+  auto full = server.Execute(MakeRequest(*shape));
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_TRUE(full->computed);
+  EXPECT_EQ(full->cuboids.size(), lattice.num_cuboids());
+  ExpectAnswerExact(*shape, *full, 0, "cold full cube");
+  EXPECT_EQ(ViewBuilds() - builds_before, donors.size());
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    auto answer = server.Execute(MakeRequest(*shape, c));
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_FALSE(answer->computed) << "cuboid " << c;
+    ExpectAnswerExact(*shape, *answer, 0, "from cached donors");
+  }
   EXPECT_EQ(server.budget()->used(), 0u);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,6 +154,54 @@ TEST_F(BufferPoolTest, PinnedPagesCannotBeEvicted) {
   h1->Release();
   auto h4 = pool_->New();
   EXPECT_TRUE(h4.ok());
+}
+
+/// Resident set size of this process in bytes; 0 where /proc is absent.
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0, resident_pages = 0;
+  if (!(statm >> total_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST_F(BufferPoolTest, FramesAreUsedOnDemand) {
+  const size_t rss_before = ResidentBytes();
+  Open(4096);  // 32 MB of frames
+  EXPECT_EQ(pool_->frames_used(), 0u) << "a fresh pool has used no frame";
+  if (rss_before > 0) {
+    EXPECT_LT(ResidentBytes(), rss_before + (16u << 20))
+        << "unused frames must not be resident";
+  }
+  std::vector<PageId> ids;
+  for (int i = 0; i < 3; ++i) {
+    auto handle = pool_->New();
+    ASSERT_TRUE(handle.ok());
+    ids.push_back(handle->id());
+    handle->MutablePage().WriteAt<uint32_t>(0, static_cast<uint32_t>(i));
+  }
+  // Re-fetching resident pages uses no further frame.
+  for (PageId id : ids) ASSERT_TRUE(pool_->Fetch(id).ok());
+  EXPECT_EQ(pool_->frames_used(), ids.size());
+  ASSERT_TRUE(pool_->FlushAll().ok());
+}
+
+TEST_F(BufferPoolTest, FullyPinnedPoolIsExhaustedAtCapacity) {
+  Open(3);
+  std::vector<PageHandle> pins;
+  for (int i = 0; i < 3; ++i) {
+    auto handle = pool_->New();
+    ASSERT_TRUE(handle.ok());
+    pins.push_back(std::move(*handle));
+  }
+  EXPECT_EQ(pool_->frames_used(), 3u);
+  auto extra = pool_->New();
+  ASSERT_FALSE(extra.ok());
+  EXPECT_EQ(extra.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(pool_->frames_used(), 3u) << "capacity is a hard cap";
+  // A released frame is reused.
+  pins.back().Release();
+  EXPECT_TRUE(pool_->New().ok());
+  EXPECT_EQ(pool_->frames_used(), 3u);
 }
 
 TEST_F(BufferPoolTest, MoveTransfersPin) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -201,6 +202,65 @@ TEST_P(ViewStoreTest, ConcurrentAnswerAndMaterializeStayExact) {
   for (std::thread& t : readers) t.join();
   EXPECT_TRUE(store_->Contains(finest));
   EXPECT_GE(store_->num_views(), 1u + ancestors.size());
+}
+
+// Readers roll up from views they pinned, with the store's lock
+// released: concurrent AnswerFromViews calls racing an evicting and
+// re-materializing writer must stay cell-exact (or report NotFound
+// when no usable view is published at that moment).
+TEST_P(ViewStoreTest, ConcurrentRollupsRacingEvictStayExact) {
+  Build(false, false);
+  CuboidId finest = workload_->lattice.FinestCuboid();
+  const size_t n = workload_->lattice.num_cuboids();
+  std::vector<std::unordered_map<GroupKey, AggregateState>> expected;
+  expected.reserve(n);
+  for (CuboidId target = 0; target < n; ++target) {
+    expected.push_back(ReferenceCells(*workload_, target));
+  }
+  std::vector<CuboidId> ancestors =
+      workload_->lattice.MoreRelaxedNeighbors(finest);
+  ASSERT_TRUE(store_->Materialize(finest, /*with_fact_ids=*/true).ok());
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int round = 0; round < 8; ++round) {
+      store_->Evict(finest);
+      for (CuboidId c : ancestors) {
+        ASSERT_TRUE(store_->Materialize(c, /*with_fact_ids=*/true).ok());
+      }
+      ASSERT_TRUE(store_->Materialize(finest, /*with_fact_ids=*/true).ok());
+      for (CuboidId c : ancestors) store_->Evict(c);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  std::atomic<uint64_t> answered{0};
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      do {
+        for (CuboidId target = r % n; target < n; ++target) {
+          ViewComputeStats stats;
+          auto cells = store_->AnswerFromViews(
+              target, AggregateFunction::kCount, &workload_->properties,
+              &stats);
+          if (!cells.ok()) {
+            EXPECT_EQ(cells.status().code(), StatusCode::kNotFound);
+            continue;
+          }
+          answered.fetch_add(1, std::memory_order_relaxed);
+          EXPECT_TRUE(CellsEqual(*cells, expected[target]))
+              << "cuboid " << target << " via "
+              << ViewStrategyToString(stats.strategy) << " from cuboid "
+              << stats.source_view;
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(answered.load(), 0u);
+  EXPECT_TRUE(store_->Contains(finest));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewStoreTest, ::testing::Values(0, 1, 2));
