@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 
 #include "cube/algorithm.h"
 #include "cube/cube_spec.h"
@@ -541,6 +544,25 @@ struct SweepCase {
   bool dense;
   uint64_t seed;
 };
+
+// CTest names each case by its printed value. gtest's default printer
+// dumps the object's raw bytes, and the padding after `dense` is
+// uninitialized, so the names changed from one test listing to the next.
+// Print the same "16-byte object <..>" form with the padding as zeros.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(SweepCase)] = {};
+  bytes[offsetof(SweepCase, coverage)] = c.coverage ? 1 : 0;
+  bytes[offsetof(SweepCase, disjointness)] = c.disjointness ? 1 : 0;
+  bytes[offsetof(SweepCase, dense)] = c.dense ? 1 : 0;
+  std::memcpy(bytes + offsetof(SweepCase, seed), &c.seed, sizeof(c.seed));
+  *os << sizeof(SweepCase) << "-byte object <";
+  for (size_t i = 0; i < sizeof(bytes); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    static constexpr char kHex[] = "0123456789ABCDEF";
+    *os << kHex[bytes[i] >> 4] << kHex[bytes[i] & 0xF];
+  }
+  *os << '>';
+}
 
 class AlgorithmSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
