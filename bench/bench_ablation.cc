@@ -1,5 +1,4 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-//  * stack-based structural join vs the naive nested loop;
 //  * BUC's iceberg pruning on vs off;
 //  * COUNTER's memory budget swept over a decade (multi-pass onset);
 //  * buffer pool size during fact-table materialization (the paged
@@ -11,7 +10,7 @@
 #include "cube/cube_spec.h"
 #include "cube/view_store.h"
 #include "gen/treebank_gen.h"
-#include "xdb/structural_join.h"
+#include "xdb/database.h"
 
 namespace x3 {
 namespace {
@@ -28,33 +27,6 @@ std::unique_ptr<Database> MakeDb(size_t trees, size_t pool_pages) {
   X3_CHECK(gen.LoadInto(db->get(), trees).ok());
   return std::move(*db);
 }
-
-void BM_AblationJoinStack(benchmark::State& state) {
-  auto db = MakeDb(static_cast<size_t>(state.range(0)), 4096);
-  const auto& anc = db->NodesWithTag(TreebankRootTag());
-  const auto& desc = db->NodesWithTag(TreebankAxisTag(0));
-  for (auto _ : state) {
-    auto pairs = StructuralJoin(*db, anc, desc, StructuralAxis::kDescendant);
-    X3_CHECK(pairs.ok());
-    benchmark::DoNotOptimize(pairs->size());
-  }
-}
-BENCHMARK(BM_AblationJoinStack)->Arg(500)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AblationJoinNestedLoop(benchmark::State& state) {
-  auto db = MakeDb(static_cast<size_t>(state.range(0)), 4096);
-  const auto& anc = db->NodesWithTag(TreebankRootTag());
-  const auto& desc = db->NodesWithTag(TreebankAxisTag(0));
-  for (auto _ : state) {
-    auto pairs =
-        NestedLoopStructuralJoin(*db, anc, desc, StructuralAxis::kDescendant);
-    X3_CHECK(pairs.ok());
-    benchmark::DoNotOptimize(pairs->size());
-  }
-}
-BENCHMARK(BM_AblationJoinNestedLoop)->Arg(500)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_AblationBucIceberg(benchmark::State& state) {
   ExperimentSetting setting;

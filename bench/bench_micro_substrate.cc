@@ -1,7 +1,7 @@
 // Substrate micro-benchmarks: the building blocks under the cube
-// operator — XML parsing/shredding, buffer-pool node access, structural
-// joins, twig matching, external sorting, lattice construction and
-// fact-table materialization.
+// operator — XML parsing/shredding, buffer-pool node access, twig
+// matching, external sorting, lattice construction and fact-table
+// materialization.
 
 #include <benchmark/benchmark.h>
 
@@ -11,8 +11,6 @@
 
 #include "cube/cube_spec.h"
 #include "gen/treebank_gen.h"
-#include "pattern/join_matcher.h"
-#include "pattern/path_stack.h"
 #include "pattern/pattern_parser.h"
 #include "pattern/twig_matcher.h"
 #include "storage/external_sorter.h"
@@ -21,7 +19,6 @@
 #include "util/random.h"
 #include "util/string_util.h"
 #include "xdb/database.h"
-#include "xdb/structural_join.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -93,23 +90,6 @@ void BM_NodeFetch(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeFetch);
 
-void BM_StructuralJoin(benchmark::State& state) {
-  auto db = MakeLoadedDb(static_cast<size_t>(state.range(0)));
-  const auto& roots = db->NodesWithTag(TreebankRootTag());
-  const auto& descendants = db->NodesWithTag(TreebankAxisTag(0));
-  for (auto _ : state) {
-    auto pairs =
-        StructuralJoin(*db, roots, descendants, StructuralAxis::kDescendant);
-    X3_CHECK(pairs.ok());
-    benchmark::DoNotOptimize(pairs->size());
-  }
-  state.counters["pairs"] = static_cast<double>(
-      StructuralJoin(*db, roots, descendants, StructuralAxis::kDescendant)
-          ->size());
-}
-BENCHMARK(BM_StructuralJoin)->Arg(1000)->Arg(5000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_TwigMatch(benchmark::State& state) {
   auto db = MakeLoadedDb(static_cast<size_t>(state.range(0)));
   auto parsed = ParsePattern(StringPrintf("//%s[./%s]/%s", TreebankRootTag(),
@@ -124,43 +104,6 @@ void BM_TwigMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TwigMatch)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
-
-// The three pattern-evaluation strategies on the same chain pattern:
-// node-at-a-time recursion, edge-at-a-time structural-join plans, and
-// the holistic PathStack.
-void BM_MatcherStrategies(benchmark::State& state) {
-  auto db = MakeLoadedDb(2000);
-  auto parsed = ParsePattern(StringPrintf("//%s//%s", TreebankRootTag(),
-                                          TreebankAxisTag(0)));
-  X3_CHECK(parsed.ok());
-  int strategy = static_cast<int>(state.range(0));
-  size_t matches_found = 0;
-  for (auto _ : state) {
-    if (strategy == 0) {
-      TwigMatcher matcher(db.get());
-      auto matches = matcher.FindMatches(parsed->pattern);
-      X3_CHECK(matches.ok());
-      matches_found = matches->size();
-    } else if (strategy == 1) {
-      JoinMatcher matcher(db.get());
-      auto matches = matcher.FindMatches(parsed->pattern);
-      X3_CHECK(matches.ok());
-      matches_found = matches->size();
-    } else {
-      PathStackMatcher matcher(db.get());
-      auto matches = matcher.FindMatches(parsed->pattern);
-      X3_CHECK(matches.ok());
-      matches_found = matches->size();
-    }
-    benchmark::DoNotOptimize(matches_found);
-  }
-  state.counters["matches"] = static_cast<double>(matches_found);
-  state.SetLabel(strategy == 0   ? "twig"
-                 : strategy == 1 ? "join-plan"
-                                 : "path-stack");
-}
-BENCHMARK(BM_MatcherStrategies)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ExternalSort(benchmark::State& state) {
   size_t records = static_cast<size_t>(state.range(0));

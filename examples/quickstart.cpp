@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <map>
+#include <string_view>
 
 #include "cube/algorithm.h"
 #include "x3/engine.h"
@@ -77,8 +78,14 @@ int main() {
               static_cast<unsigned long long>(result->lattice.num_cuboids()),
               result->lattice.num_axes(),
               static_cast<unsigned long long>(result->cube.TotalCells()));
-  std::printf("Materialize: %.3f ms, cube: %.3f ms (%s)\n\n",
-              result->materialize_seconds * 1e3, result->cube_seconds * 1e3,
+  auto stage_ms = [&](std::string_view label) {
+    for (const x3::StageTiming& stage : result->stage_timings) {
+      if (stage.label == label) return stage.seconds * 1e3;
+    }
+    return 0.0;
+  };
+  std::printf("Materialize: %.3f ms, plan: %.3f ms, compute: %.3f ms (%s)\n\n",
+              stage_ms("materialize"), stage_ms("plan"), stage_ms("compute"),
               x3::CubeAlgorithmToString(x3::CubeAlgorithm::kBUC));
 
   // Print every cuboid that groups by at most one axis (the classical

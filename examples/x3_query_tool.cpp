@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cube/algorithm.h"
@@ -172,13 +173,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  auto stage_ms = [&](std::string_view label) {
+    for (const x3::StageTiming& stage : result->stage_timings) {
+      if (stage.label == label) return stage.seconds * 1e3;
+    }
+    return 0.0;
+  };
   std::fprintf(stderr,
                "facts=%zu cuboids=%llu cells=%llu | materialize %.1f ms, "
-               "cube %.1f ms (%s)\n",
+               "plan %.1f ms, compute %.1f ms (%s)\n",
                result->facts.size(),
                static_cast<unsigned long long>(result->lattice.num_cuboids()),
                static_cast<unsigned long long>(result->cube.TotalCells()),
-               result->materialize_seconds * 1e3, result->cube_seconds * 1e3,
+               stage_ms("materialize"), stage_ms("plan"), stage_ms("compute"),
                x3::CubeAlgorithmToString(*algorithm));
 
   std::string csv_path =

@@ -83,10 +83,14 @@ void CubeComputeStats::Absorb(const CubeComputeStats& other) {
   peak_memory = std::max(peak_memory, other.peak_memory);
 }
 
-Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
-                               const CubeLattice& lattice,
-                               const CubeComputeOptions& options,
-                               CubeComputeStats* stats) {
+namespace {
+
+/// ComputeCube's body. `*plan` receives the plan the execution follows,
+/// so EXPLAIN ANALYZE renders exactly that plan.
+Result<CubeResult> PlanAndCompute(CubeAlgorithm algo, const FactTable& facts,
+                                  const CubeLattice& lattice,
+                                  const CubeComputeOptions& options,
+                                  CubeComputeStats* stats, CubePlan* plan) {
   if (!facts.finished()) {
     return Status::InvalidArgument("fact table not finished");
   }
@@ -125,10 +129,9 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
     assume_nothing = LatticeProperties::AssumeNothing(lattice);
     props = &*assume_nothing;
   }
-  CubePlan plan;
   {
     ScopedStageTimer timer(ctx->stats(), "plan", ctx->tracer());
-    plan = BuildCubePlan(algo, lattice, *props);
+    *plan = BuildCubePlan(algo, lattice, *props);
   }
 
   // Execute through the registry — no per-algorithm switch here.
@@ -140,7 +143,7 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
   Result<CubeResult> result = [&]() -> Result<CubeResult> {
     ScopedStageTimer timer(ctx->stats(), "compute", ctx->tracer());
     X3_RETURN_IF_ERROR(ctx->CheckInterrupted());
-    return executor->Execute(plan, facts, lattice, effective, ctx, st);
+    return executor->Execute(*plan, facts, lattice, effective, ctx, st);
   }();
   if (result.ok() && options.min_count > 1) {
     // The bottom-up family prunes natively; this central filter makes
@@ -152,6 +155,16 @@ Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
     ResultCellsCounter().Increment(result->TotalCells());
   }
   return result;
+}
+
+}  // namespace
+
+Result<CubeResult> ComputeCube(CubeAlgorithm algo, const FactTable& facts,
+                               const CubeLattice& lattice,
+                               const CubeComputeOptions& options,
+                               CubeComputeStats* stats) {
+  CubePlan plan;
+  return PlanAndCompute(algo, facts, lattice, options, stats, &plan);
 }
 
 Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
@@ -173,19 +186,10 @@ Result<std::string> ExplainAnalyzeCube(CubeAlgorithm algo,
   ExecutionContext ctx(ctx_options);
   CubeComputeOptions effective = options;
   effective.exec = &ctx;
-  CubeComputeStats local;
-  CubeComputeStats* st = stats != nullptr ? stats : &local;
-  X3_ASSIGN_OR_RETURN(CubeResult result,
-                      ComputeCube(algo, facts, lattice, effective, st));
-  // Re-derive the plan the execution followed (same property-map
-  // defaulting as ComputeCube; planning is pure, so the steps match).
-  std::optional<LatticeProperties> assume_nothing;
-  const LatticeProperties* props = options.properties;
-  if (props == nullptr) {
-    assume_nothing = LatticeProperties::AssumeNothing(lattice);
-    props = &*assume_nothing;
-  }
-  CubePlan plan = BuildCubePlan(algo, lattice, *props);
+  CubePlan plan;
+  X3_ASSIGN_OR_RETURN(
+      CubeResult result,
+      PlanAndCompute(algo, facts, lattice, effective, stats, &plan));
   return ExplainCubePlanWithActuals(plan, lattice, *ctx.stats(), result);
 }
 

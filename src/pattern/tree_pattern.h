@@ -7,9 +7,14 @@
 #include <vector>
 
 #include "util/result.h"
-#include "xdb/structural_join.h"
 
 namespace x3 {
+
+/// Structural relationship between a pattern node and its parent.
+enum class StructuralAxis : uint8_t {
+  kChild,       // parent-child (PC)
+  kDescendant,  // ancestor-descendant (AD)
+};
 
 /// Index of a node within a TreePattern.
 using PatternNodeId = int;

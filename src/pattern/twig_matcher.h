@@ -27,8 +27,7 @@ struct MatchStats {
   uint64_t witnesses_emitted = 0;
 };
 
-/// True iff data node `id` satisfies `pnode`'s tag and value filter
-/// (the shared admission test of all three matchers).
+/// True iff data node `id` satisfies `pnode`'s tag and value filter.
 Result<bool> NodeSatisfies(const Database& db, const PatternNode& pnode,
                            NodeId id);
 

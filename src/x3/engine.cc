@@ -4,11 +4,21 @@
 #include <optional>
 #include <utility>
 
-#include "util/timer.h"
 #include "x3/binder.h"
 #include "x3/parser.h"
 
 namespace x3 {
+
+namespace {
+
+/// The query's return clause fixes the aggregate; its HAVING bound only
+/// tightens the caller's iceberg threshold.
+void ApplyQueryOptions(const CubeQuery& query, CubeComputeOptions* options) {
+  options->aggregate = query.aggregate;
+  options->min_count = std::max(options->min_count, query.min_count);
+}
+
+}  // namespace
 
 Result<CubeQuery> X3Engine::Compile(std::string_view query_text) const {
   X3_ASSIGN_OR_RETURN(AstQuery ast, ParseX3Query(query_text));
@@ -37,10 +47,7 @@ Result<X3ExecutionResult> X3Engine::Execute(std::string_view query_text,
 Result<X3ExecutionResult> X3Engine::ExecuteQuery(
     const CubeQuery& query, CubeAlgorithm algorithm,
     CubeComputeOptions options) const {
-  options.aggregate = query.aggregate;
-  if (query.min_count > options.min_count) {
-    options.min_count = query.min_count;
-  }
+  ApplyQueryOptions(query, &options);
 
   // One context for the whole pipeline: either the caller's (its
   // budget/temp_files win, see ComputeCube) or a local uncancellable
@@ -53,14 +60,12 @@ Result<X3ExecutionResult> X3Engine::ExecuteQuery(
   MemoryBudget* budget =
       ctx->budget() != nullptr ? ctx->budget() : options.budget;
 
-  Timer timer;
   // Prepare records the "materialize" stage (with the fact count as its
   // row detail) and opens the pipeline's first trace span.
   Result<PreparedQuery> prepared = Prepare(query, ctx);
   X3_RETURN_IF_ERROR(prepared.status());
   CubeLattice lattice = std::move(prepared->lattice);
   FactTable facts = std::move(prepared->facts);
-  double materialize_seconds = timer.ElapsedSeconds();
 
   // The materialized fact table is working memory of the query: charge
   // it for the duration of the cube computation so peak_memory reflects
@@ -71,11 +76,9 @@ Result<X3ExecutionResult> X3Engine::ExecuteQuery(
   }
   X3_RETURN_IF_ERROR(ctx->CheckInterrupted());
 
-  timer.Reset();
   CubeComputeStats stats;
   X3_ASSIGN_OR_RETURN(CubeResult cube, ComputeCube(algorithm, facts, lattice,
                                                    options, &stats));
-  double cube_seconds = timer.ElapsedSeconds();
   if (budget != nullptr) {
     stats.peak_memory =
         std::max<uint64_t>(stats.peak_memory, budget->peak());
@@ -84,9 +87,6 @@ Result<X3ExecutionResult> X3Engine::ExecuteQuery(
   X3ExecutionResult result(std::move(lattice), std::move(facts),
                            std::move(cube));
   result.stats = stats;
-  result.materialize_seconds = materialize_seconds;
-  result.cube_seconds = cube_seconds;
-  result.plan_seconds = ctx->stats()->TotalSeconds("plan");
   result.stage_timings = ctx->stats()->timings();
   return result;
 }
@@ -95,13 +95,10 @@ Result<std::string> X3Engine::ExplainAnalyze(std::string_view query_text,
                                              CubeAlgorithm algorithm,
                                              CubeComputeOptions options) const {
   X3_ASSIGN_OR_RETURN(CubeQuery query, Compile(query_text));
-  options.aggregate = query.aggregate;
-  if (query.min_count > options.min_count) {
-    options.min_count = query.min_count;
-  }
-  X3_ASSIGN_OR_RETURN(CubeLattice lattice, BuildCubeLattice(query));
-  X3_ASSIGN_OR_RETURN(FactTable facts, BuildFactTable(*db_, query, lattice));
-  return ExplainAnalyzeCube(algorithm, facts, lattice, options);
+  ApplyQueryOptions(query, &options);
+  X3_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query, options.exec));
+  return ExplainAnalyzeCube(algorithm, prepared.facts, prepared.lattice,
+                            options);
 }
 
 }  // namespace x3

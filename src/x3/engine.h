@@ -36,15 +36,10 @@ struct X3ExecutionResult {
   FactTable facts;
   CubeResult cube;
   CubeComputeStats stats;
-  /// Wall-clock split: pattern evaluation / fact materialization vs
-  /// cube computation (the paper times only the latter).
-  double materialize_seconds = 0;
-  double cube_seconds = 0;
-  /// Time spent building the CubePlan (part of cube_seconds).
-  double plan_seconds = 0;
-  /// Full per-stage breakdown ("materialize", "plan", "compute",
-  /// "cuboid/<id>", "pass/<n>", "pipe/<n>", ...) from the execution
-  /// context's stats sink.
+  /// Per-stage wall-clock breakdown from the execution context's stats
+  /// sink: "materialize" is pattern evaluation and fact materialization,
+  /// "plan" + "compute" the cube computation the paper times, with
+  /// "cuboid/<id>", "pass/<n>", "pipe/<n>", ... detail.
   std::vector<StageTiming> stage_timings;
 
   X3ExecutionResult(CubeLattice lattice_in, FactTable facts_in,
@@ -117,7 +112,8 @@ class X3Engine {
   /// EXPLAIN ANALYZE: compiles and runs the full pipeline, then renders
   /// the cube plan annotated with per-step actual time, rows and spill
   /// I/O (see ExplainAnalyzeCube in cube/algorithm.h). Costs a real
-  /// execution.
+  /// execution. Materialization goes through Prepare with `options.exec`
+  /// as its context.
   Result<std::string> ExplainAnalyze(
       std::string_view query_text, CubeAlgorithm algorithm,
       CubeComputeOptions options = CubeComputeOptions{}) const;

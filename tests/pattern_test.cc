@@ -2,14 +2,21 @@
 
 #include <algorithm>
 
-#include "pattern/join_matcher.h"
-#include "pattern/path_stack.h"
 #include "pattern/pattern_parser.h"
 #include "pattern/tree_pattern.h"
 #include "pattern/twig_matcher.h"
 #include "tests/test_helpers.h"
+#include "util/random.h"
+#include "xdb/database.h"
+#include "xml/xml_node.h"
 
 namespace x3 {
+
+// Readable witness lists in assertion failures.
+void PrintTo(const WitnessTree& w, std::ostream* os) {
+  *os << ::testing::PrintToString(w.bindings);
+}
+
 namespace {
 
 using testutil::OpenFigure1Db;
@@ -332,12 +339,10 @@ TEST(ValuePredicateTest, ParserAcceptsAndRenders) {
   EXPECT_FALSE(ParsePattern("//a[.=\"x]").ok());
 }
 
-TEST(ValuePredicateTest, AllMatchersFilterByValue) {
+TEST(ValuePredicateTest, MatcherFiltersByValue) {
   auto db = OpenFigure1Db();
   ASSERT_NE(db, nullptr);
   TwigMatcher twig(db.get());
-  JoinMatcher join(db.get());
-  PathStackMatcher holistic(db.get());
 
   auto parsed = ParsePattern("//publication/year[.=\"2003\"]");
   ASSERT_TRUE(parsed.ok());
@@ -345,14 +350,6 @@ TEST(ValuePredicateTest, AllMatchersFilterByValue) {
   ASSERT_TRUE(twig_matches.ok());
   // Pubs 1 and 3 have a 2003 year child.
   EXPECT_EQ(twig_matches->size(), 2u);
-  auto join_matches = join.FindMatches(parsed->pattern);
-  auto path_matches = holistic.FindMatches(parsed->pattern);
-  ASSERT_TRUE(join_matches.ok());
-  ASSERT_TRUE(path_matches.ok());
-  // (SortedWitnesses defined below; compare sizes then full sets after
-  // its definition via the equivalence tests.)
-  EXPECT_EQ(join_matches->size(), 2u);
-  EXPECT_EQ(path_matches->size(), 2u);
 
   // Value on the root node.
   auto name = ParsePattern("//name[.=\"John\"]");
@@ -368,12 +365,10 @@ TEST(ValuePredicateTest, AllMatchersFilterByValue) {
   ASSERT_TRUE(p1.ok());
   EXPECT_EQ(p1->size(), 2u);  // pubs 1 and 4
 
-  // Unknown value: no matches anywhere.
+  // Unknown value: no matches.
   auto none = ParsePattern("//year[.=\"1999\"]");
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(twig.FindMatches(none->pattern)->empty());
-  EXPECT_TRUE(join.FindMatches(none->pattern)->empty());
-  EXPECT_TRUE(holistic.FindMatches(none->pattern)->empty());
 }
 
 TEST(ValuePredicateTest, EmbedsRespectsFilter) {
@@ -393,7 +388,7 @@ TEST(ValuePredicateTest, EmbedsRespectsFilter) {
   EXPECT_FALSE(*pub1);
 }
 
-// --- Join-plan matcher (structural-join evaluation, §3.4) ---
+// --- Completeness against a brute-force oracle ---
 
 std::vector<WitnessTree> SortedWitnesses(std::vector<WitnessTree> w) {
   std::sort(w.begin(), w.end(),
@@ -403,138 +398,46 @@ std::vector<WitnessTree> SortedWitnesses(std::vector<WitnessTree> w) {
   return w;
 }
 
-class JoinMatcherTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    db_ = OpenFigure1Db();
-    ASSERT_NE(db_, nullptr);
-  }
-  std::unique_ptr<Database> db_;
-};
+/// TwigMatcher finds exactly the witnesses testutil::BruteForceMatcher
+/// enumerates: none missing (completeness), none extra.
+void ExpectAgreesWithBruteForce(const Database* db, const char* text) {
+  auto parsed = ParsePattern(text);
+  ASSERT_TRUE(parsed.ok()) << text;
+  TwigMatcher twig(db);
+  auto matches = twig.FindMatches(parsed->pattern);
+  ASSERT_TRUE(matches.ok()) << text;
+  auto expected =
+      testutil::BruteForceMatcher(*db, parsed->pattern).FindMatches();
+  ASSERT_TRUE(expected.ok()) << text;
+  EXPECT_EQ(SortedWitnesses(*matches), *expected) << text;
+}
 
-TEST_F(JoinMatcherTest, AgreesWithTwigMatcherOnFigure1) {
-  TwigMatcher twig(db_.get());
-  JoinMatcher join(db_.get());
+TEST_F(TwigMatcherTest, AgreesWithBruteForceOnFigure1) {
   for (const char* text :
        {"//publication/year", "//publication//author",
         "//publication[./author/name][.//publisher/@id]/year",
         "//publication/publisher?", "//publication[./author]/publisher",
-        "//pubData/*", "//publication//name", "//nosuchtag"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok()) << text;
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto join_matches = join.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(join_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*join_matches))
-        << text;
+        "//pubData/*", "//publication//name", "//nosuchtag",
+        "//publication//author//name", "//publication/author/name",
+        "//publication//publisher/@id", "//database//publication//year",
+        "//publication", "//database//author", "//authors/author",
+        "//publication/year[.=\"2003\"]", "//publication/author?/name"}) {
+    ExpectAgreesWithBruteForce(db_.get(), text);
   }
 }
 
-TEST_F(JoinMatcherTest, StatsCountJoins) {
-  JoinMatcher join(db_.get());
-  auto parsed = ParsePattern("//publication[./author/name]/year");
-  ASSERT_TRUE(parsed.ok());
-  auto matches = join.FindMatches(parsed->pattern);
-  ASSERT_TRUE(matches.ok());
-  // One structural join per edge: author, name, year.
-  EXPECT_EQ(join.stats().structural_joins, 3u);
-  EXPECT_GT(join.stats().join_pairs, 0u);
-}
-
-class JoinMatcherPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(JoinMatcherPropertyTest, AgreesWithTwigMatcherOnRandomTrees) {
-  Random rng(GetParam());
-  auto db = testutil::OpenDb();
-  ASSERT_NE(db, nullptr);
-  for (int docs = 0; docs < 2; ++docs) {
-    XmlDocument doc(testutil::RandomTree(&rng, 70, 3, 3));
-    ASSERT_TRUE(db->LoadDocument(doc).ok());
-  }
-  TwigMatcher twig(db.get());
-  JoinMatcher join(db.get());
-  for (const char* text :
-       {"//t0/t1", "//t0//t1", "//t0[./t1]/t2", "//t0/t1/t2",
-        "//t0[.//t1]//t2", "//t1/t0?", "//t2[./t0?]//t1", "//t0//t0"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok());
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto join_matches = join.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(join_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*join_matches))
-        << text;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, JoinMatcherPropertyTest,
-                         ::testing::Values(41, 42, 43, 44, 45, 46));
-
-// --- PathStack (holistic path evaluation) ---
-
-TEST(PathStackTest, SupportsOnlyChains) {
-  EXPECT_TRUE(
-      PathStackMatcher::Supports(ParsePattern("//a/b//c")->pattern));
-  EXPECT_TRUE(PathStackMatcher::Supports(ParsePattern("//a")->pattern));
-  EXPECT_FALSE(
-      PathStackMatcher::Supports(ParsePattern("//a[./b]/c")->pattern));
-  EXPECT_FALSE(
-      PathStackMatcher::Supports(ParsePattern("//a/b?")->pattern));
-}
-
-TEST(PathStackTest, AgreesWithTwigMatcherOnFigure1Chains) {
-  auto db = OpenFigure1Db();
-  ASSERT_NE(db, nullptr);
-  TwigMatcher twig(db.get());
-  PathStackMatcher holistic(db.get());
-  for (const char* text :
-       {"//publication//author//name", "//publication/author/name",
-        "//publication//publisher/@id", "//publication/year",
-        "//database//publication//year", "//publication", "//nosuchtag",
-        "//database//author", "//authors/author"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok()) << text;
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto path_matches = holistic.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(path_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*path_matches))
-        << text;
-  }
-}
-
-TEST(PathStackTest, RepeatedTagsNeedStrictContainment) {
+TEST(TwigMatcherRepeatedTagsTest, AgreesWithBruteForce) {
   auto db = testutil::OpenDb();
   ASSERT_NE(db, nullptr);
   ASSERT_TRUE(db->LoadXmlString("<a><a><a/></a><b><a/></b></a>").ok());
-  TwigMatcher twig(db.get());
-  PathStackMatcher holistic(db.get());
-  for (const char* text : {"//a//a", "//a//a//a", "//a/a"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok());
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto path_matches = holistic.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(path_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*path_matches))
-        << text;
+  for (const char* text : {"//a//a", "//a//a//a", "//a/a", "//a/b?/a"}) {
+    ExpectAgreesWithBruteForce(db.get(), text);
   }
 }
 
-TEST(PathStackTest, RejectsBranchingPatterns) {
-  auto db = OpenFigure1Db();
-  ASSERT_NE(db, nullptr);
-  PathStackMatcher holistic(db.get());
-  auto parsed = ParsePattern("//publication[./author]/year");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(holistic.FindMatches(parsed->pattern).status().code(),
-            StatusCode::kInvalidArgument);
-}
+class TwigMatcherPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-class PathStackPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PathStackPropertyTest, AgreesWithTwigMatcherOnRandomTrees) {
+TEST_P(TwigMatcherPropertyTest, AgreesWithBruteForceOnRandomTrees) {
   Random rng(GetParam());
   auto db = testutil::OpenDb();
   ASSERT_NE(db, nullptr);
@@ -542,24 +445,18 @@ TEST_P(PathStackPropertyTest, AgreesWithTwigMatcherOnRandomTrees) {
     XmlDocument doc(testutil::RandomTree(&rng, 80, 3, 3));
     ASSERT_TRUE(db->LoadDocument(doc).ok());
   }
-  TwigMatcher twig(db.get());
-  PathStackMatcher holistic(db.get());
   for (const char* text :
-       {"//t0//t1", "//t0/t1", "//t0//t1//t2", "//t0/t1//t2", "//t1//t1",
-        "//t2//t0/t1", "//t0//t0//t0"}) {
-    auto parsed = ParsePattern(text);
-    ASSERT_TRUE(parsed.ok());
-    auto twig_matches = twig.FindMatches(parsed->pattern);
-    auto path_matches = holistic.FindMatches(parsed->pattern);
-    ASSERT_TRUE(twig_matches.ok()) << text;
-    ASSERT_TRUE(path_matches.ok()) << text;
-    EXPECT_EQ(SortedWitnesses(*twig_matches), SortedWitnesses(*path_matches))
-        << text;
+       {"//t0/t1", "//t0//t1", "//t0[./t1]/t2", "//t0/t1/t2",
+        "//t0[.//t1]//t2", "//t1/t0?", "//t2[./t0?]//t1", "//t0//t0",
+        "//t0//t1//t2", "//t0/t1//t2", "//t1//t1", "//t2//t0/t1",
+        "//t0//t0//t0", "//t0/t1?/t2", "//t1[./t2?[.=\"v1\"]]/*"}) {
+    ExpectAgreesWithBruteForce(db.get(), text);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PathStackPropertyTest,
-                         ::testing::Values(61, 62, 63, 64, 65, 66, 67, 68));
+INSTANTIATE_TEST_SUITE_P(Seeds, TwigMatcherPropertyTest,
+                         ::testing::Values(41, 42, 43, 44, 45, 46, 61, 62,
+                                           63, 64, 65, 66, 67, 68));
 
 /// Property: every witness tree's bindings satisfy the pattern's edges.
 class TwigWitnessPropertyTest : public ::testing::TestWithParam<uint64_t> {};

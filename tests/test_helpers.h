@@ -1,9 +1,13 @@
 #ifndef X3_TESTS_TEST_HELPERS_H_
 #define X3_TESTS_TEST_HELPERS_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "pattern/tree_pattern.h"
+#include "pattern/twig_matcher.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "xdb/database.h"
@@ -62,8 +66,100 @@ inline std::unique_ptr<Database> OpenFigure1Db() {
   return db;
 }
 
+/// Brute-force reference for TwigMatcher::FindMatches, for completeness
+/// checks. It copies every NodeRecord into a plain vector (no tag
+/// indexes, no interval narrowing) and tries every data node for every
+/// pattern node in preorder, testing tag, value and edge against the
+/// records alone. A pattern node is left unbound only as TwigMatcher
+/// documents for optional subtrees: when its parent is unbound, or when
+/// it is optional and no embedding of its subtree exists under the
+/// parent's binding. Returns the witnesses sorted by bindings.
+class BruteForceMatcher {
+ public:
+  BruteForceMatcher(const Database& db, const TreePattern& pattern)
+      : db_(db), pattern_(pattern), order_(pattern.LiveNodes()) {}
+
+  Result<std::vector<WitnessTree>> FindMatches() {
+    records_.resize(db_.node_count());
+    for (NodeId id = 0; id < records_.size(); ++id) {
+      X3_RETURN_IF_ERROR(db_.GetNode(id, &records_[id]));
+    }
+    binding_.assign(pattern_.capacity(), kInvalidNodeId);
+    out_.clear();
+    Assign(0);
+    std::sort(out_.begin(), out_.end(),
+              [](const WitnessTree& a, const WitnessTree& b) {
+                return a.bindings < b.bindings;
+              });
+    return out_;
+  }
+
+ private:
+  /// `id` satisfies `p`'s tag, value filter and edge from `parent`
+  /// (kInvalidNodeId for the pattern root, which has no edge).
+  bool Admits(PatternNodeId p, NodeId id, NodeId parent) const {
+    const PatternNode& pnode = pattern_.node(p);
+    const NodeRecord& rec = records_[id];
+    if (pnode.tag != "*" && db_.tags().Name(rec.tag_id) != pnode.tag) {
+      return false;
+    }
+    if (pnode.has_value_filter &&
+        (rec.value_id == kInvalidValueId ||
+         db_.values().Value(rec.value_id) != pnode.value_filter)) {
+      return false;
+    }
+    if (parent == kInvalidNodeId) return true;
+    if (pnode.edge == StructuralAxis::kChild) return rec.parent == parent;
+    return parent < id && id <= records_[parent].end;
+  }
+
+  /// Some node under `parent` binds `p` with every required child
+  /// subtree embedded beneath it.
+  bool Embeds(PatternNodeId p, NodeId parent) const {
+    for (NodeId id = 0; id < records_.size(); ++id) {
+      if (!Admits(p, id, parent)) continue;
+      bool all = true;
+      for (PatternNodeId c : pattern_.node(p).children) {
+        all = all && (pattern_.node(c).optional || Embeds(c, id));
+      }
+      if (all) return true;
+    }
+    return false;
+  }
+
+  void Assign(size_t k) {
+    if (k == order_.size()) {
+      out_.push_back(WitnessTree{binding_});
+      return;
+    }
+    PatternNodeId p = order_[k];
+    const PatternNode& pnode = pattern_.node(p);
+    bool is_root = p == pattern_.root();
+    NodeId parent = is_root ? kInvalidNodeId
+                            : binding_[static_cast<size_t>(pnode.parent)];
+    if (!is_root && parent == kInvalidNodeId) {
+      Assign(k + 1);  // inside an unbound optional subtree
+      return;
+    }
+    for (NodeId id = 0; id < records_.size(); ++id) {
+      if (!Admits(p, id, parent)) continue;
+      binding_[static_cast<size_t>(p)] = id;
+      Assign(k + 1);
+    }
+    binding_[static_cast<size_t>(p)] = kInvalidNodeId;
+    if (!is_root && pnode.optional && !Embeds(p, parent)) Assign(k + 1);
+  }
+
+  const Database& db_;
+  const TreePattern& pattern_;
+  std::vector<PatternNodeId> order_;
+  std::vector<NodeRecord> records_;
+  std::vector<NodeId> binding_;
+  std::vector<WitnessTree> out_;
+};
+
 /// Generates a random tree with tags drawn from {t0..t{tags-1}} for
-/// structural-join / matcher property tests.
+/// matcher property tests.
 inline std::unique_ptr<XmlNode> RandomTree(Random* rng, size_t max_nodes,
                                            size_t tags, size_t max_children) {
   auto make_tag = [&](uint64_t t) {

@@ -295,7 +295,14 @@ TEST(EngineTest, ExecutesQuery1OnFigure1) {
   EXPECT_EQ(result->facts.size(), 4u);
   EXPECT_EQ(result->lattice.num_cuboids(), 48u);  // 8 * 3 * 2
   EXPECT_GT(result->cube.TotalCells(), 0u);
-  EXPECT_GE(result->materialize_seconds, 0.0);
+  bool saw_materialize = false;
+  for (const StageTiming& stage : result->stage_timings) {
+    if (stage.label != "materialize") continue;
+    saw_materialize = true;
+    EXPECT_GE(stage.seconds, 0.0);
+    EXPECT_EQ(stage.rows, result->facts.size());
+  }
+  EXPECT_TRUE(saw_materialize);
 
   // Every algorithm family yields the same (correct) cube for the
   // correctness-preserving variants.
@@ -408,17 +415,23 @@ TEST(EngineTest, StageTimingsSurfaced) {
   ASSERT_TRUE(result.ok()) << result.status();
 
   bool saw_materialize = false, saw_plan = false, saw_compute = false;
+  double plan_seconds = 0, compute_seconds = 0;
   for (const StageTiming& stage : result->stage_timings) {
     if (stage.label == "materialize") saw_materialize = true;
-    if (stage.label == "plan") saw_plan = true;
-    if (stage.label == "compute") saw_compute = true;
+    if (stage.label == "plan") {
+      saw_plan = true;
+      plan_seconds += stage.seconds;
+    }
+    if (stage.label == "compute") {
+      saw_compute = true;
+      compute_seconds += stage.seconds;
+    }
     EXPECT_GE(stage.seconds, 0.0);
   }
   EXPECT_TRUE(saw_materialize);
   EXPECT_TRUE(saw_plan);
   EXPECT_TRUE(saw_compute);
-  EXPECT_GE(result->plan_seconds, 0.0);
-  EXPECT_LE(result->plan_seconds, result->cube_seconds);
+  EXPECT_LE(plan_seconds, plan_seconds + compute_seconds);
 }
 
 TEST(EngineTest, CallerContextInterruptsWholePipeline) {

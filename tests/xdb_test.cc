@@ -7,7 +7,6 @@
 #include "util/fault_env.h"
 #include "util/random.h"
 #include "xdb/database.h"
-#include "xdb/structural_join.h"
 #include "xml/xml_node.h"
 
 namespace x3 {
@@ -698,114 +697,6 @@ TEST_F(DatabaseBatchTest, CheckpointHealsPoisonedWal) {
   EXPECT_EQ((*db)->NodesWithTag("revived").size(), 1u);
   EXPECT_TRUE((*db)->NodesWithTag("gone").empty());
 }
-
-// --- Structural join ---
-
-class StructuralJoinTest : public ::testing::Test {
- protected:
-  void Load(const std::string& xml) {
-    db_ = OpenDb();
-    ASSERT_NE(db_, nullptr);
-    ASSERT_TRUE(db_->LoadXmlString(xml).ok());
-  }
-  std::unique_ptr<Database> db_;
-};
-
-TEST_F(StructuralJoinTest, AncestorDescendantBasic) {
-  Load("<a><b><a><b/></a></b><b/></a>");
-  const auto& as = db_->NodesWithTag("a");
-  const auto& bs = db_->NodesWithTag("b");
-  auto pairs = StructuralJoin(*db_, as, bs, StructuralAxis::kDescendant);
-  ASSERT_TRUE(pairs.ok());
-  // outer a contains all 3 b's; inner a contains 1 b.
-  EXPECT_EQ(pairs->size(), 4u);
-}
-
-TEST_F(StructuralJoinTest, ParentChildBasic) {
-  Load("<a><b><a><b/></a></b><b/></a>");
-  const auto& as = db_->NodesWithTag("a");
-  const auto& bs = db_->NodesWithTag("b");
-  auto pairs = StructuralJoin(*db_, as, bs, StructuralAxis::kChild);
-  ASSERT_TRUE(pairs.ok());
-  // outer a has 2 b children; inner a has 1.
-  EXPECT_EQ(pairs->size(), 3u);
-}
-
-TEST_F(StructuralJoinTest, EmptyInputs) {
-  Load("<a><b/></a>");
-  std::vector<NodeId> empty;
-  auto pairs = StructuralJoin(*db_, empty, db_->NodesWithTag("b"),
-                              StructuralAxis::kDescendant);
-  ASSERT_TRUE(pairs.ok());
-  EXPECT_TRUE(pairs->empty());
-  pairs = StructuralJoin(*db_, db_->NodesWithTag("a"), empty,
-                         StructuralAxis::kDescendant);
-  ASSERT_TRUE(pairs.ok());
-  EXPECT_TRUE(pairs->empty());
-}
-
-TEST_F(StructuralJoinTest, OutputSortedByDescendant) {
-  Load("<a><a><b/><b/></a><b/></a>");
-  auto pairs = StructuralJoin(*db_, db_->NodesWithTag("a"),
-                              db_->NodesWithTag("b"),
-                              StructuralAxis::kDescendant);
-  ASSERT_TRUE(pairs.ok());
-  for (size_t i = 1; i < pairs->size(); ++i) {
-    EXPECT_LE((*pairs)[i - 1].descendant, (*pairs)[i].descendant);
-  }
-}
-
-TEST_F(StructuralJoinTest, StatsPopulated) {
-  Load("<a><b/><b/></a>");
-  JoinStats stats;
-  auto pairs = StructuralJoin(*db_, db_->NodesWithTag("a"),
-                              db_->NodesWithTag("b"),
-                              StructuralAxis::kDescendant, &stats);
-  ASSERT_TRUE(pairs.ok());
-  EXPECT_EQ(stats.pairs_emitted, 2u);
-  EXPECT_EQ(stats.descendants_scanned, 2u);
-  EXPECT_GE(stats.max_stack_depth, 1u);
-}
-
-/// Property: the stack join matches the nested-loop join on random
-/// trees, for both axes and various tag pairs.
-class StructuralJoinPropertyTest
-    : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(StructuralJoinPropertyTest, MatchesNestedLoop) {
-  Random rng(GetParam());
-  auto db = OpenDb();
-  ASSERT_NE(db, nullptr);
-  for (int docs = 0; docs < 3; ++docs) {
-    XmlDocument doc(testutil::RandomTree(&rng, 80, 4, 3));
-    ASSERT_TRUE(db->LoadDocument(doc).ok());
-  }
-  for (size_t t1 = 0; t1 < 4; ++t1) {
-    for (size_t t2 = 0; t2 < 4; ++t2) {
-      const auto& anc = db->NodesWithTag("t" + std::to_string(t1));
-      const auto& desc = db->NodesWithTag("t" + std::to_string(t2));
-      for (StructuralAxis axis :
-           {StructuralAxis::kDescendant, StructuralAxis::kChild}) {
-        auto fast = StructuralJoin(*db, anc, desc, axis);
-        auto slow = NestedLoopStructuralJoin(*db, anc, desc, axis);
-        ASSERT_TRUE(fast.ok());
-        ASSERT_TRUE(slow.ok());
-        auto key = [](const JoinPair& p) {
-          return (static_cast<uint64_t>(p.descendant) << 32) | p.ancestor;
-        };
-        std::sort(fast->begin(), fast->end(),
-                  [&](auto a, auto b) { return key(a) < key(b); });
-        std::sort(slow->begin(), slow->end(),
-                  [&](auto a, auto b) { return key(a) < key(b); });
-        EXPECT_EQ(*fast, *slow)
-            << "axis=" << static_cast<int>(axis) << " t" << t1 << "/t" << t2;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, StructuralJoinPropertyTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 11, 99));
 
 }  // namespace
 }  // namespace x3
